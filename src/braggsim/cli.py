@@ -97,6 +97,8 @@ def _get(section: dict, path: str, key: str, kinds, required: bool = True,
     if kinds is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{full}: expected a number, got {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{full}: must be a finite number, got {value}")
         return float(value)
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -105,6 +107,11 @@ def _get(section: dict, path: str, key: str, kinds, required: bool = True,
     if not isinstance(value, kinds):
         raise ConfigError(f"{full}: unexpected type {type(value).__name__}")
     return value
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _section(raw: dict, key: str, required: bool = True):
@@ -190,8 +197,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     if rc is not None:
         q = rc.get("quality_factor")
         if isinstance(q, list):
-            if len(q) != 3 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in q):
-                raise ConfigError("ring_comparator.quality_factor: expected a number or a list of 3 numbers")
+            if len(q) != 3 or not all(_is_finite_number(x) for x in q):
+                raise ConfigError("ring_comparator.quality_factor: expected a number or a list of 3 finite numbers")
             qval = tuple(float(x) for x in q)
         else:
             qval = _get(rc, "ring_comparator", "quality_factor", float)
@@ -225,8 +232,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
     cs = _section(raw, "contrast_sweep")
     contrasts = _get(cs, "contrast_sweep", "contrasts", list)
-    if not contrasts or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in contrasts):
-        raise ConfigError("contrast_sweep.contrasts: expected a nonempty list of numbers")
+    if not contrasts or not all(_is_finite_number(x) for x in contrasts):
+        raise ConfigError("contrast_sweep.contrasts: expected a nonempty list of finite numbers")
 
     jsd = _section(raw, "jsd", required=False) or {}
     return ScenarioConfig(
@@ -387,7 +394,7 @@ def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, rejection_db):
                                                         cfg.grating.delta_n),
     }
     out.write("design.json", _json_text(result))
-    print(f"N={n}")
+    out.say(f"N={n}")
 
 
 def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):

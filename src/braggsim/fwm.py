@@ -31,7 +31,7 @@ from .model import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .transfer import _segment_amplitudes
+from .transfer import BlochField, _bloch_fields, _segment_amplitudes
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -83,18 +83,123 @@ def segment_exp_integral(kappa, length):
         kappa * length / (2.0 * math.pi))
 
 
-# plane-wave expansion of the integrand: (coefficient index, wavenumber sign)
-_PUMP_SIGNS = (2.0, 0.0, -2.0)
-_SIGNAL_SIGNS = (-1.0, 1.0)
-_IDLER_SIGNS = (1.0, -1.0)
+def _plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
+    """integral_0^length of g_1 g_2 conj(g_s) g_i over one uniform segment,
+    where each g = fwd * exp(i k u) + bwd * exp(-i k u) is given as its
+    (fwd, bwd) pair: three pump plane waves times two each for signal and
+    idler, twelve terms in total. Arguments broadcast."""
+    pump = ((pump1[0] * pump2[0], 2.0),
+            (pump1[0] * pump2[1] + pump1[1] * pump2[0], 0.0),
+            (pump1[1] * pump2[1], -2.0))
+    sig = ((np.conj(signal[0]), -1.0), (np.conj(signal[1]), 1.0))
+    idl = ((idler[0], 1.0), (idler[1], -1.0))
+    # nested sums: each coefficient multiplies only what its factor spans
+    total = 0.0
+    for cp, sp in pump:
+        by_pump = 0.0
+        for cs, ss in sig:
+            by_signal = 0.0
+            for ci, si in idl:
+                by_signal = by_signal + ci * segment_exp_integral(
+                    sp * kp + ss * ks + si * ki, length)
+            by_pump = by_pump + cs * by_signal
+        total = total + cp * by_pump
+    return total
+
+
+def _wrap_phase(x):
+    """x shifted by the multiple of 2*pi*i that brings its phase nearest 0."""
+    return x - 2j * math.pi * np.round(x.imag / (2.0 * math.pi))
+
+
+def _geometric_sum(rate, grow, n: int):
+    """sum_{m=0}^{n-1} exp(m * rate - n * grow), for Re(rate - grow) <= 0
+    and Re(grow) >= 0 so that no intermediate exceeds 1 in modulus."""
+    rate = _wrap_phase(rate)
+    grow = _wrap_phase(grow)
+    scaled = np.exp(-n * grow)
+    near = np.abs(n * rate) < 1.0      # difference form would cancel here
+    out = (np.exp(n * (rate - grow)) - scaled) / np.expm1(np.where(near, 1.0, rate))
+    r = rate[near]
+    r_safe = np.where(r == 0, 1.0, r)
+    out[near] = scaled[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
+    return out
+
+
+def _mode_axis(x, axis: int):
+    """Move the trailing mode axis of x to `axis` of four combination axes."""
+    shape = [1, 1, 1, 1]
+    shape[axis] = 2
+    return x.reshape(x.shape[:-1] + tuple(shape))
+
+
+def _bloch_overlap(spec: GratingSpec, fp: BlochField, fs: BlochField,
+                   fi: BlochField) -> np.ndarray:
+    """J from Bloch-mode fields gathered element-wise (equal leading shapes).
+
+    Each of the 16 (pump, pump, signal*, idler) mode combinations is a
+    geometric series over the N periods times one per-period weight; the
+    leads are single uniform segments. Elements with a field at a band edge
+    fall back to the segment sum.
+    """
+    def combine(x, op=np.add):
+        return op(op(op(_mode_axis(x(fp), 0), _mode_axis(x(fp), 1)),
+                     np.conj(_mode_axis(x(fs), 2))), _mode_axis(x(fi), 3))
+
+    d_lo = spec.duty_cycle * spec.period
+    weight = 0.0
+    for seg, length in enumerate((d_lo, spec.period - d_lo)):
+        def amps(f, axis):
+            return (_mode_axis(f.segments[..., seg, 0], axis),
+                    _mode_axis(f.segments[..., seg, 1], axis))
+        kp, ks, ki = (f.k[..., seg, None, None, None, None] for f in (fp, fs, fi))
+        weight = weight + _plane_wave_integral(amps(fp, 0), amps(fp, 1), amps(fs, 2),
+                                               amps(fi, 3), kp, ks, ki, length)
+    growing = np.array([1.0, 0.0])       # mode 0 is referenced to period N
+    series = _geometric_sum(combine(lambda f: f.log_ratio),
+                            combine(lambda f: f.log_ratio * growing),
+                            spec.n_periods)
+    coef = combine(lambda f: f.coef, op=np.multiply)
+    total = np.sum(coef * series * weight, axis=(-4, -3, -2, -1))
+
+    for lead, length in (("lead_in", spec.lead_in_length),
+                         ("lead_out", spec.lead_out_length)):
+        if length > 0:
+            p, s, i = (getattr(f, lead) for f in (fp, fs, fi))
+            pair = (p[..., 0], p[..., 1])
+            total = total + _plane_wave_integral(
+                pair, pair, (s[..., 0], s[..., 1]), (i[..., 0], i[..., 1]),
+                fp.k[..., 1], fs.k[..., 1], fi.k[..., 1], length)
+
+    edge = fp.band_edge | fs.band_edge | fi.band_edge
+    if np.any(edge):
+        total[edge] = _overlap_segment_sum(spec, fp.omega[edge], fs.omega[edge],
+                                           fi.omega[edge])
+    return total
+
+
+def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
+    """J element-wise as a sum over every uniform segment of the structure.
+
+    Fields come from the forward segment recursion, which amplifies rounding
+    in the growing mode of deep stopbands; this is the band-edge fallback of
+    the Bloch kernel and its test oracle, not the production path.
+    """
+    _, lengths, n_effs, Ap, Bp = _segment_amplitudes(spec, omega_p, "left")
+    _, _, _, As, Bs = _segment_amplitudes(spec, omega_s, "left")
+    _, _, _, Ai, Bi = _segment_amplitudes(spec, omega_i, "right")
+    kp, ks, ki = (np.outer(n_effs, w) / C0 for w in (omega_p, omega_s, omega_i))
+    terms = _plane_wave_integral((Ap, Bp), (Ap, Bp), (As, Bs), (Ai, Bi),
+                                 kp, ks, ki, lengths[:, None])
+    return np.sum(terms, axis=0)
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
     """J evaluated element-wise for equal-length frequency arrays.
 
-    The three fields are solved once per frequency set; the z-integral is
-    closed-form per uniform segment (three pump plane waves times two each
-    for signal and idler, twelve terms in total).
+    The three fields are solved once per frequency as Bloch modes of the
+    grating, and the z-integral is summed over the periods in closed form,
+    so the cost does not grow with the period count.
     """
     omega_p = np.atleast_1d(np.asarray(omega_p, dtype=float))
     omega_s = np.atleast_1d(np.asarray(omega_s, dtype=float))
@@ -103,27 +208,9 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
         raise InvalidArgument("frequency arrays must have matching shapes")
     for w, label in ((omega_p, "pump"), (omega_s, "signal"), (omega_i, "idler")):
         _check_domain(w, label)
-
-    _, lengths, n_effs, Ap, Bp = _segment_amplitudes(spec, omega_p, "left")
-    _, _, _, As, Bs = _segment_amplitudes(spec, omega_s, "left")
-    _, _, _, Ai, Bi = _segment_amplitudes(spec, omega_i, "right")
-
-    kp = np.outer(n_effs, omega_p) / C0
-    ks = np.outer(n_effs, omega_s) / C0
-    ki = np.outer(n_effs, omega_i) / C0
-    ell = lengths[:, None]
-
-    pump_coeffs = (Ap * Ap, 2.0 * Ap * Bp, Bp * Bp)
-    signal_coeffs = (np.conj(As), np.conj(Bs))
-    idler_coeffs = (Ai, Bi)
-
-    total = np.zeros(omega_p.shape, dtype=complex)
-    for cp, sp in zip(pump_coeffs, _PUMP_SIGNS):
-        for cs, ss in zip(signal_coeffs, _SIGNAL_SIGNS):
-            for ci, si in zip(idler_coeffs, _IDLER_SIGNS):
-                kappa = sp * kp + ss * ks + si * ki
-                total += np.sum(cp * cs * ci * segment_exp_integral(kappa, ell), axis=0)
-    return total
+    return _bloch_overlap(spec, _bloch_fields(spec, omega_p, "left"),
+                          _bloch_fields(spec, omega_s, "left"),
+                          _bloch_fields(spec, omega_i, "right"))
 
 
 @dataclass(frozen=True)

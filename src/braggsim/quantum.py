@@ -43,12 +43,12 @@ from .model import (
 )
 from .fwm import (
     StimulatedResult,
+    _bloch_overlap,
     _check_domain,
     overlap_elements,
-    segment_exp_integral,
     stimulated_idler,
 )
-from .transfer import _segment_amplitudes, design_periods, layer_stack
+from .transfer import _bloch_fields, design_periods
 
 __all__ = [
     "SpontRate",
@@ -189,9 +189,7 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
 
     The two grids must share their spacing: the midpoints then live on a
     single uniform grid of 2n-1 frequencies, so the structure fields are
-    solved once per distinct frequency instead of once per grid point, and
-    the per-segment closed-form integrals are reused across all segments
-    with the same (index, length).
+    solved once per distinct frequency and gathered onto the grid by index.
     """
     d1 = w1[1] - w1[0]
     d2 = w2[1] - w2[0]
@@ -201,36 +199,10 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
     mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
     _check_domain(mids, "pump")
 
-    _, lengths, n_effs, Ap, Bp = _segment_amplitudes(spec, mids, "left")
-    _, _, _, As, Bs = _segment_amplitudes(spec, w1, "left")
-    _, _, _, Ai, Bi = _segment_amplitudes(spec, w2, "right")
-
-    sum_idx = np.add.outer(np.arange(n1), np.arange(n2))
-    signs_p = np.array([2.0, 0.0, -2.0])
-    signs_s = np.array([-1.0, 1.0])
-    signs_i = np.array([1.0, -1.0])
-
-    # closed-form exp integrals per distinct layer, reused by every segment
-    cache = {}
-    for n_eff, ell in set(layer_stack(spec)):
-        kp = (n_eff / C0) * mids
-        ks = (n_eff / C0) * w1
-        ki = (n_eff / C0) * w2
-        kappa = (signs_p[:, None, None, None, None] * kp[sum_idx]
-                 + signs_s[None, :, None, None, None] * ks[:, None]
-                 + signs_i[None, None, :, None, None] * ki[None, :])
-        cache[(n_eff, ell)] = segment_exp_integral(kappa, ell)
-
-    total = np.zeros((n1, n2), dtype=complex)
-    for j, (n_eff, ell) in enumerate(layer_stack(spec)):
-        e = cache[(n_eff, ell)]
-        cp = np.stack([Ap[j] * Ap[j], 2.0 * Ap[j] * Bp[j], Bp[j] * Bp[j]])
-        cs = np.stack([np.conj(As[j]), np.conj(Bs[j])])
-        ci = np.stack([Ai[j], Bi[j]])
-        outer = cs[:, None, :, None] * ci[None, :, None, :]
-        inner = np.sum(outer[None, ...] * e, axis=(1, 2))
-        total += np.sum(cp[:, sum_idx] * inner, axis=0)
-    return total
+    rows, cols = np.indices((n1, n2))
+    return _bloch_overlap(spec, _bloch_fields(spec, mids, "left").take(rows + cols),
+                          _bloch_fields(spec, w1, "left").take(rows),
+                          _bloch_fields(spec, w2, "right").take(cols))
 
 
 def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,

@@ -14,7 +14,7 @@ entries as t = 1/m00 and r = m10/m00, with |t|^2 + |r|^2 = 1 and det M = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -433,6 +433,135 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
         v = np.stack([v[0] * phase, v[1] / phase])
         n_prev, k_prev = n_eff, k
     return z_starts, lengths, n_effs, A, B
+
+
+# Below this q = 1 - |cos K Lambda| the two Bloch modes are too close to
+# parallel (they coincide at the band edge) for the closed form: its error
+# grows as ~1e-19 / |q|, so such frequencies are flagged for the segment sum.
+BAND_EDGE_Q = 1e-9
+
+
+@dataclass(frozen=True)
+class BlochField:
+    """Field launched from one side of a structure, per frequency, written
+    through the two Bloch modes of the grating (Yariv & Yeh, ch. 6).
+
+    In period m (0 <= m < N) the state entering the period is
+
+        coef[0] * ratio[0]**(m - N) * e_0 + coef[1] * ratio[1]**m * e_1,
+
+    with ratio = exp(log_ratio). Mode 0 is the one that grows forward inside
+    a stopband, so it is referenced to the grating's right end and mode 1 to
+    its left end: neither power ever exceeds 1 in modulus. Leading axes
+    index frequency; trailing axes are, in order, the mode, the segment
+    (low-index then unperturbed) and the (forward, backward) pair:
+
+    - k:          (..., 2)        wavenumber in each segment
+    - log_ratio:  (..., 2)        per-period log eigenvalue of each mode
+    - coef:       (..., 2)
+    - segments:   (..., 2, 2, 2)  each mode's amplitudes at the left edge of
+                                  each segment of a period
+    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in)
+    - lead_out:   (..., 2)        amplitudes at the grating's right end
+    - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
+    """
+
+    omega: np.ndarray
+    k: np.ndarray
+    log_ratio: np.ndarray
+    coef: np.ndarray
+    segments: np.ndarray
+    lead_in: np.ndarray
+    lead_out: np.ndarray
+    band_edge: np.ndarray
+
+    def take(self, index) -> "BlochField":
+        """The fields at frequency indices `index` (any shape)."""
+        return BlochField(**{f.name: np.take(getattr(self, f.name), index, axis=0)
+                             for f in fields(self)})
+
+
+def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
+    """(sign of cos K Lambda, q = 1 - |cos K Lambda|) per frequency.
+
+    Taken from the two-layer dispersion relation with 1 -+ cos formed
+    without cancellation: the trace of the multiplied period matrix loses
+    ~3 digits near the Bragg condition, where |cos K Lambda| -> 1.
+    """
+    k_lo = wavenumber(spec.n_lo, omegas)
+    k_hi = wavenumber(spec.n_hi, omegas)
+    d_lo = spec.duty_cycle * spec.period
+    phi_lo, phi_hi = k_lo * d_lo, k_hi * (spec.period - d_lo)
+    dk = wavenumber(spec.delta_n, omegas)
+    mix = dk ** 2 / (2.0 * k_lo * k_hi) * np.sin(phi_lo) * np.sin(phi_hi)
+    half = 0.5 * (phi_lo + phi_hi)
+    one_plus = 2.0 * np.cos(half) ** 2 - mix
+    one_minus = 2.0 * np.sin(half) ** 2 + mix
+    return np.where(one_plus < one_minus, -1.0, 1.0), np.minimum(one_plus, one_minus)
+
+
+def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
+    """Bloch-mode form of the field launched from `side` ('left' or 'right',
+    unit amplitude from that ambient; see _segment_amplitudes)."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    k_lo = wavenumber(spec.n_lo, omegas)
+    k_hi = wavenumber(spec.n_hi, omegas)
+    d_lo = spec.duty_cycle * spec.period
+    d_hi = spec.period - d_lo
+
+    # forward maps between the left edges of consecutive segments
+    into_lo = _iface_stack(k_lo, k_hi)
+    lo_to_hi = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, -d_lo)
+    fwd = _prop_stack(k_hi, -d_hi) @ lo_to_hi @ into_lo
+
+    sign, q = _bloch_cosine(spec, omegas)
+    root = np.sqrt(np.abs(q) / 2.0)
+    # eigenvalues sign * exp(+-kappa); kappa >= 0 in a stopband, i*theta outside
+    kappa = np.where(q < 0, 2.0 * np.arcsinh(root), 2j * np.arcsin(root))
+    log_sign = np.where(sign < 0, 1j * math.pi, 0.0)
+    log_ratio = np.stack([log_sign + kappa, log_sign - kappa], axis=-1)
+
+    # eigenvectors (F01, lambda - F00) or (lambda - F11, F10), taking for
+    # each mode the form whose free entry does not cancel
+    sh = sign * np.sinh(kappa)
+    delta = 0.5 * (fwd[..., 1, 1] - fwd[..., 0, 0])
+    plus, minus = delta + sh, delta - sh
+    first = np.abs(plus) >= np.abs(minus)
+    f01, f10 = fwd[..., 0, 1], fwd[..., 1, 0]
+    modes = np.empty(omegas.shape + (2, 2), dtype=complex)   # columns = modes
+    modes[..., 0, 0] = np.where(first, f01, -minus)
+    modes[..., 1, 0] = np.where(first, plus, f10)
+    modes[..., 0, 1] = np.where(first, -plus, f01)
+    modes[..., 1, 1] = np.where(first, f10, minus)
+    lo = into_lo @ modes
+    segments = np.stack([lo, lo_to_hi @ lo], axis=-1)     # (..., fwd/bwd, mode, seg)
+    segments = np.moveaxis(segments, -3, -1)              # (..., mode, seg, fwd/bwd)
+
+    # exact facet states: the grating's entry state from the left facet and
+    # its exit state from the right facet, moved across the leads
+    m = _structure_stack(spec, omegas)
+    one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
+    if side == "left":
+        facet_l = np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1)
+        facet_r = np.stack([1.0 / m[..., 0, 0], zero], axis=-1)
+    elif side == "right":
+        facet_l = np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1)
+        facet_r = np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1)
+    else:
+        raise InvalidArgument("side must be 'left' or 'right'")
+    entry = (_prop_stack(k_hi, -spec.lead_in_length) @ facet_l[..., None])[..., 0]
+    exit_ = (_prop_stack(k_hi, spec.lead_out_length) @ facet_r[..., None])[..., 0]
+
+    band_edge = np.abs(q) < BAND_EDGE_Q
+    det = modes[..., 0, 0] * modes[..., 1, 1] - modes[..., 1, 0] * modes[..., 0, 1]
+    det = np.where(band_edge, 1.0, det)
+    coef = np.stack([
+        (exit_[..., 0] * modes[..., 1, 1] - exit_[..., 1] * modes[..., 0, 1]) / det,
+        (modes[..., 0, 0] * entry[..., 1] - modes[..., 1, 0] * entry[..., 0]) / det,
+    ], axis=-1)
+    return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
+                      log_ratio=log_ratio, coef=coef, segments=segments,
+                      lead_in=facet_l, lead_out=exit_, band_edge=band_edge)
 
 
 def internal_fields(spec: GratingSpec, omega: float,

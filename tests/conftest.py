@@ -44,7 +44,7 @@ def idler_window(scenario):
 
 @pytest.fixture(scope="session")
 def bw_state(scenario):
-    # ~15 s at the default 201x201 grid
+    # ~0.5 s at the default 201x201 grid
     return quantum.two_photon_state_bw(
         scenario.grating, scenario.params, scenario.pulse,
         scenario.signal_window, scenario.idler_window,

@@ -112,6 +112,23 @@ def test_missing_section_is_config_error(tmp_path, capsys):
     assert "nonlinear" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand,section,key,value", [
+    ("spectrum", "structure", "delta_n", float("nan")),
+    ("spont-rate", "nonlinear", "gamma_per_w_m", float("inf")),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, subcommand,
+                                           section, key, value):
+    # Python's json parses NaN and Infinity; neither is a valid field value
+    broken = json.loads(json.dumps(TINY))
+    broken[section][key] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(path), "--out", str(out)) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # subcommands on the tiny scenario
 
@@ -158,6 +175,14 @@ def test_design_reference_target(tmp_path, capsys):
     out = tmp_path / "design"
     assert run("design", "--out", str(out)) == 0
     assert "N=2069" in capsys.readouterr().out
+
+
+def test_design_quiet_writes_nothing(tiny_config, tmp_path, capsys):
+    out = tmp_path / "design"
+    assert run("design", "--config", str(tiny_config), "--out", str(out),
+               "--quiet") == 0
+    assert capsys.readouterr().out == ""
+    assert (out / "design.json").exists()
 
 
 def test_design_rejection_flag_domain_error(tiny_config, tmp_path, capsys):
@@ -246,6 +271,18 @@ def test_report_writes_everything(tiny_config, tmp_path):
                  "spont_rate.csv", "contrast_sweep.csv", "jsd_bw.csv",
                  "run_meta.json"):
         assert (out / name).exists(), name
+
+
+def test_report_data_files_are_deterministic(tiny_config, tmp_path):
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run("report", "--config", str(tiny_config), "--out", str(out),
+                   "--points", "21", "--quiet") == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "run_meta.json"})
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
 
 
 def test_quiet_suppresses_chatter(tiny_config, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,3 +196,146 @@ class TestPumpSweepDip:
     def test_dip_report_needs_baseline(self, sweep):
         with pytest.raises(model.InvalidArgument):
             fwm.dip_report(sweep, exclude_halfwidth=100.0)
+
+
+# --------------------------------------------------------------------------
+# closed-form Bloch-mode overlap against the segment-sum oracle
+
+
+def oracle(spec, w_p, w_s, w_i, chunk=256):
+    """Segment-sum J, evaluated in chunks of frequencies to bound memory."""
+    return np.concatenate([
+        fwm._overlap_segment_sum(spec, w_p[i:i + chunk], w_s[i:i + chunk],
+                                 w_i[i:i + chunk])
+        for i in range(0, w_p.size, chunk)])
+
+
+def pump_scan(lam_lo, lam_hi, n_points, signal=1560.05e-9):
+    w_p = 2.0 * math.pi * 299792458.0 / np.linspace(lam_lo, lam_hi, n_points)
+    w_s = np.full_like(w_p, model.omega_from_wavelength(signal))
+    return w_p, w_s, 2.0 * w_p - w_s
+
+
+def max_rel(value, reference, scale=None):
+    scale = np.abs(reference) if scale is None else scale
+    return float(np.max(np.abs(value - reference) / scale))
+
+
+def random_spec(seed, n_periods, sign):
+    rng = np.random.default_rng(seed)
+    n_lo = rng.uniform(2.3, 2.5)
+    delta_n = sign * rng.uniform(5e-4, 5e-3)
+    duty = rng.uniform(0.2, 0.8)
+    mean = duty * n_lo + (1.0 - duty) * (n_lo + delta_n)
+    return model.GratingSpec(period=rng.uniform(1535e-9, 1565e-9) / (2.0 * mean),
+                             duty_cycle=duty, n_periods=n_periods, n_lo=n_lo,
+                             delta_n=delta_n,
+                             lead_in_length=rng.uniform(0.1e-6, 20e-6),
+                             lead_out_length=rng.uniform(0.1e-6, 20e-6))
+
+
+class TestBlochOverlap:
+    def test_reference_pump_sweep(self):
+        args = pump_scan(1541.9e-9, 1550e-9, 1621, signal=1560.0e-9)
+        assert max_rel(fwm.overlap_elements(REF, *args), oracle(REF, *args)) < 1e-9
+
+    @pytest.mark.parametrize("seed,n_periods,sign", [
+        (11, 10, -1.0), (12, 57, 1.0), (13, 240, -1.0), (14, 911, 1.0),
+        (15, 1999, -1.0), (16, 3000, 1.0)])
+    def test_random_specs(self, seed, n_periods, sign):
+        spec = random_spec(seed, n_periods, sign)
+        args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 101)
+        assert max_rel(fwm.overlap_elements(spec, *args), oracle(spec, *args)) < 1e-9
+
+    def test_second_order_grating(self):
+        # cos(K Lambda) -> +1 at the second-order Bragg condition
+        spec = model.GratingSpec(period=640e-9, duty_cycle=0.35, n_periods=1500,
+                                 n_lo=2.414, delta_n=3.4985e-3,
+                                 lead_in_length=3e-6, lead_out_length=1e-6)
+        lam_b = spec.mean_index * spec.period
+        args = pump_scan(lam_b - 3e-9, lam_b + 3e-9, 121)
+        sign, q = transfer._bloch_cosine(spec, args[0])
+        assert np.all(sign > 0) and np.any(q < 0)
+        assert max_rel(fwm.overlap_elements(spec, *args), oracle(spec, *args)) < 1e-9
+
+    def test_deep_design_normalized_by_sweep_maximum(self):
+        # the oracle's forward recursion is only ~3e-10 accurate inside this
+        # stopband, so the comparison is scaled by the sweep's largest |J|
+        spec = replace(REF, n_periods=transfer.design_periods(100.0, REF.n_lo,
+                                                              REF.delta_n))
+        args = pump_scan(1541.9e-9, 1550e-9, 81, signal=1560.0e-9)
+        ref = oracle(spec, *args)
+        value = fwm.overlap_elements(spec, *args)
+        assert max_rel(value, ref, scale=np.max(np.abs(ref))) < 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_contrast_raises_no_warning(self):
+        spec = uniform_spec(1000)
+        args = pump_scan(1541e-9, 1551e-9, 101)
+        value = fwm.overlap_elements(spec, *args)
+        assert max_rel(value, oracle(spec, *args)) < 1e-9
+
+    @pytest.mark.parametrize("dn_db,n_periods,expected", [
+        (200.0, 16379, -6.6707886381029105e-06 - 1.1021401386969649e-04j),
+        (300.0, 24328, 2.4416682238325378e-05 - 1.0767293690477662e-04j)])
+    def test_deep_design_pins(self, dn_db, n_periods, expected):
+        # 60-digit evaluation of the segment recursion; the float64 segment
+        # sum misses these by 5e-7 (200 dB) and a factor ~5000 (300 dB)
+        assert transfer.design_periods(dn_db, REF.n_lo, REF.delta_n) == n_periods
+        spec = replace(REF, n_periods=n_periods)
+        w_p = model.omega_from_wavelength(spec.bragg_wavelength)
+        value = fwm.overlap_elements(spec, [w_p], [W_S], [2.0 * w_p - W_S])[0]
+        assert abs(value - expected) / abs(expected) < 1e-9
+
+
+def upper_band_edge(spec):
+    """Bisected frequency where the first-order stopband ends (q changes sign)."""
+    inside = model.omega_from_wavelength(spec.bragg_wavelength)
+    outside = inside * 1.01
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return outside
+        _, q = transfer._bloch_cosine(spec, np.array([mid]))
+        if q[0] < 0:
+            inside = mid
+        else:
+            outside = mid
+
+
+@pytest.fixture(scope="module")
+def band_edge():
+    return upper_band_edge(REF)
+
+
+class TestBandEdge:
+    @pytest.mark.filterwarnings("error")
+    def test_matches_oracle_near_edge(self, band_edge):
+        offsets = np.array([s * 10.0 ** -k for k in range(3, 17) for s in (-1.0, 1.0)])
+        w_p = band_edge * (1.0 + offsets)
+        w_s = np.full_like(w_p, W_S)
+        args = (w_p, w_s, 2.0 * w_p - w_s)
+        _, q = transfer._bloch_cosine(REF, w_p)
+        assert np.min(np.abs(q)) < 1e-17 < transfer.BAND_EDGE_Q < np.max(np.abs(q))
+        value = fwm.overlap_elements(REF, *args)
+        rel = np.abs(value - oracle(REF, *args)) / np.abs(value)
+        assert np.all(rel < 1e-9), dict(zip(offsets, rel))
+
+    @pytest.mark.filterwarnings("error")
+    def test_exactly_degenerate_modes(self, band_edge, monkeypatch):
+        # q == 0: the two Bloch modes coincide and the closed form is undefined
+        edge = band_edge
+        w_p = np.array([edge, edge * 1.001])
+        w_s = np.full(2, W_S)
+        args = (w_p, w_s, 2.0 * w_p - w_s)
+        exact = transfer._bloch_cosine
+
+        def degenerate(spec, omegas):
+            sign, q = exact(spec, omegas)
+            return sign, np.where(omegas == edge, 0.0, q)
+
+        monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+        assert list(transfer._bloch_fields(REF, w_p, "left").band_edge) == [True, False]
+        value = fwm.overlap_elements(REF, *args)
+        assert np.all(np.isfinite(value))
+        assert max_rel(value, oracle(REF, *args)) < 1e-9

@@ -105,6 +105,15 @@ class TestWaveguideState:
                * g * j.reshape(pp.shape))
         np.testing.assert_allclose(st.amplitude, phi, rtol=1e-9)
 
+    def test_overlap_table_matches_segment_sum(self):
+        grid1 = SIGNAL_WIN.grid(21)
+        grid2 = IDLER_WIN.grid(21)
+        table = quantum._bw_overlap_table(REF, grid1.points, grid2.points)
+        w1, w2 = np.meshgrid(grid1.points, grid2.points, indexing="ij")
+        oracle = fwm._overlap_segment_sum(REF, ((w1 + w2) / 2.0).ravel(),
+                                          w1.ravel(), w2.ravel())
+        np.testing.assert_allclose(table.ravel(), oracle, rtol=1e-9, atol=0.0)
+
     def test_cw_limit_rate_identity(self):
         # a pulse much longer than the inverse collection bandwidth gives
         # beta_sq = width * duration * (gamma P0 |J|)^2; the finite windows
