@@ -20,13 +20,15 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:   # numpy must not load before _apply_thread_env runs
+    from .model import CollectionWindow, GratingSpec, NonlinearParams, PumpPulse, RingSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-_FMT = "{:.8e}"
 
 SUBCOMMANDS = ("spectrum", "design", "stim-sweep", "spont-rate",
                "contrast-sweep", "jsd", "report")
@@ -123,13 +125,13 @@ class ScenarioConfig:
     """Fully converted scenario: structures, drive, windows, sweep ranges."""
 
     raw: dict
-    grating: object
-    ring: object            # RingSpec or None
-    ring_pulse: object      # PumpPulse or None
-    params: object
-    pulse: object
-    signal_window: object
-    idler_window: object
+    grating: GratingSpec
+    ring: RingSpec | None
+    ring_pulse: PumpPulse | None
+    params: NonlinearParams
+    pulse: PumpPulse
+    signal_window: CollectionWindow
+    idler_window: CollectionWindow
     spectrum_grid_args: tuple   # (center_m, span_m, n_points)
     pump_sweep_args: tuple      # (start_m, stop_m, points, signal_m)
     contrasts: tuple
@@ -335,19 +337,20 @@ class _Out:
             print(message)
 
 
-def _fmt_obj(value):
-    """Recursively format floats as fixed-width scientific strings."""
-    if isinstance(value, float):
-        return _FMT.format(value)
-    if isinstance(value, dict):
-        return {k: _fmt_obj(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt_obj(v) for v in value]
-    return value
-
-
 def _json_text(obj) -> str:
-    return json.dumps(_fmt_obj(obj), indent=2) + "\n"
+    from .model import _FMT
+
+    def fmt(value):
+        """Recursively format floats as fixed-width scientific strings."""
+        if isinstance(value, float):
+            return _FMT.format(value)
+        if isinstance(value, dict):
+            return {k: fmt(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [fmt(v) for v in value]
+        return value
+
+    return json.dumps(fmt(obj), indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +423,7 @@ def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
 
 def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str):
     from .fwm import stimulated_idler
-    from .model import omega_from_wavelength
+    from .model import _FMT, omega_from_wavelength
     from .quantum import spont_from_stim
     w_p = cfg.pulse.center_omega
     w_s = omega_from_wavelength(cfg.signal_window.center_wavelength)
@@ -432,7 +435,7 @@ def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str):
             "idler_rate_per_s": stim.idler_rate,
             "rate_per_s_per_mw2": stim.rate_per_mw2,
             "rate_per_s_per_mw2_external": stim.rate_per_mw2_external,
-            "overlap_magnitude_m": stim.overlap.magnitude,
+            "overlap_magnitude_m": abs(stim.overlap),
         },
         "spontaneous": {
             "rate_per_s": spont.rate,
@@ -495,6 +498,7 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str):
 
 
 def _jsd_csv(state) -> str:
+    from .model import _FMT
     rows = ["lambda_signal_nm,lambda_idler_nm,jsd_normalized"]
     lam1 = state.signal_grid.wavelengths * 1e9
     lam2 = state.idler_grid.wavelengths * 1e9
@@ -560,7 +564,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="output directory (default: ./out/<subcommand>)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--points", type=int, default=None,
-                        help="override the principal grid/sweep point count")
+                        help="override the principal grid/sweep point count; "
+                             "under report it sets only the spectrum grid")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
     parser.add_argument("--quiet", action="store_true")

@@ -38,8 +38,6 @@ __all__ = [
     "idler_omega",
     "idler_wavelength",
     "segment_exp_integral",
-    "FwmOverlap",
-    "overlap_integral",
     "overlap_elements",
     "StimulatedResult",
     "stimulated_idler",
@@ -213,30 +211,6 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
                           _bloch_fields(spec, omega_i, "right"))
 
 
-@dataclass(frozen=True)
-class FwmOverlap:
-    """One overlap-integral evaluation."""
-
-    omega_p: float
-    omega_s: float
-    omega_i: float
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
-def overlap_integral(spec: GratingSpec, omega_p: float, omega_s: float,
-                     omega_i: float | None = None) -> FwmOverlap:
-    """Single-point overlap; the idler defaults to 2*omega_p - omega_s."""
-    if omega_i is None:
-        omega_i = idler_omega(omega_p, omega_s)
-    value = overlap_elements(spec, [omega_p], [omega_s], [omega_i])[0]
-    return FwmOverlap(omega_p=float(omega_p), omega_s=float(omega_s),
-                      omega_i=float(omega_i), value=complex(value))
-
-
 # --------------------------------------------------------------------------
 # stimulated four-wave mixing
 
@@ -245,13 +219,15 @@ def overlap_integral(spec: GratingSpec, omega_p: float, omega_s: float,
 class StimulatedResult:
     """Stimulated idler generation at one pump/signal setting.
 
-    idler_power and idler_rate are internal (inside the waveguide).
-    rate_per_mw2 normalizes the rate by the squared internal pump power in
-    milliwatts; rate_per_mw2_external re-expresses it per squared pump power
-    quoted before the input facet (None when no coupling loss is configured).
+    overlap is J at (omega_p, omega_s, omega_i). idler_power and idler_rate
+    are internal (inside the waveguide). rate_per_mw2 normalizes the rate by
+    the squared internal pump power in milliwatts; rate_per_mw2_external
+    re-expresses it per squared pump power quoted before the input facet
+    (None when no coupling loss is configured).
     """
 
-    overlap: FwmOverlap
+    overlap: complex
+    omega_i: float
     idler_power: float
     idler_rate: float
     rate_per_mw2: float
@@ -260,20 +236,24 @@ class StimulatedResult:
 
 def stimulated_idler(spec: GratingSpec, params: NonlinearParams, omega_p: float,
                      omega_s: float, omega_i: float | None = None) -> StimulatedResult:
-    ov = overlap_integral(spec, omega_p, omega_s, omega_i)
+    """Stimulated idler at one setting; the idler defaults to 2*omega_p - omega_s."""
+    if omega_i is None:
+        omega_i = idler_omega(omega_p, omega_s)
+    j = complex(overlap_elements(spec, [omega_p], [omega_s], [omega_i])[0])
     if params.gamma * params.coupled_pump_power * spec.total_length >= 0.1:
         warnings.warn("nonlinear phase is not small; the undepleted-pump "
                       "result may be inaccurate", stacklevel=2)
     power = (params.gamma * params.coupled_pump_power) ** 2 \
-        * params.coupled_signal_power * ov.magnitude ** 2
-    rate = power / (HBAR * ov.omega_i)
+        * params.coupled_signal_power * abs(j) ** 2
+    rate = power / (HBAR * omega_i)
     pump_mw = params.coupled_pump_power / 1e-3
     per_mw2 = rate / pump_mw ** 2 if pump_mw > 0 else 0.0
     external = None
     if params.coupling_loss_db is not None:
         external = per_mw2 * params.facet_transmission ** 2
     return StimulatedResult(
-        overlap=ov,
+        overlap=j,
+        omega_i=float(omega_i),
         idler_power=power,
         idler_rate=rate,
         rate_per_mw2=per_mw2,

@@ -7,12 +7,20 @@ pure, so grid points and sweep entries may be evaluated in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from .constants import HBAR, SPEED_OF_LIGHT as C0
+
+__all__ = [
+    "InvalidArgument", "OutOfDomain", "omega_from_wavelength", "wavelength_from_omega",
+    "FrequencyGrid", "make_wavelength_grid", "grid_around_omega", "GratingSpec",
+    "RingSpec", "PulseShape", "PumpPulse", "pump_spectral_amplitude",
+    "CollectionWindow", "NonlinearParams", "SweepResult",
+]
 
 
 class InvalidArgument(ValueError):
@@ -31,6 +39,15 @@ def omega_from_wavelength(wavelength: float) -> float:
 def wavelength_from_omega(omega: float) -> float:
     """Angular frequency (rad/s) -> vacuum wavelength (m)."""
     return 2.0 * math.pi * C0 / omega
+
+
+def _require_finite(obj) -> None:
+    """Reject NaN/Inf in the real-valued fields of a dataclass; every
+    comparison with NaN is False, so the range guards alone let it through."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise InvalidArgument(f"{f.name} must be a finite number, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -123,6 +140,7 @@ class GratingSpec:
     lead_out_length: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.period <= 0:
             raise InvalidArgument("period must be > 0")
         if not 0.0 < self.duty_cycle < 1.0:
@@ -176,6 +194,7 @@ class RingSpec:
     group_index: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.radius <= 0:
             raise InvalidArgument("radius must be > 0")
         for lam in (self.lambda_p, self.lambda_s, self.lambda_i):
@@ -183,8 +202,8 @@ class RingSpec:
                 raise InvalidArgument("resonance wavelengths must be > 0")
         q = self.quality_factor
         qs = tuple(float(x) for x in q) if np.iterable(q) else (float(q),) * 3
-        if len(qs) != 3 or any(x <= 0 for x in qs):
-            raise InvalidArgument("quality_factor must be positive (one value or three)")
+        if len(qs) != 3 or not all(0 < x < math.inf for x in qs):
+            raise InvalidArgument("quality_factor must be positive and finite (one value or three)")
         object.__setattr__(self, "quality_factor", qs)
         if self.group_index is not None:
             rel = abs(self.group_index - self._derived_group_index()) / self._derived_group_index()
@@ -253,6 +272,7 @@ class PumpPulse:
     center_wavelength: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.duration <= 0 or self.peak_power < 0 or self.center_wavelength <= 0:
             raise InvalidArgument("pulse duration/peak power/center wavelength out of range")
 
@@ -326,6 +346,7 @@ class CollectionWindow:
     width: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.width <= 0:
             raise InvalidArgument("window width must be > 0")
         if self.center_wavelength <= 0:
@@ -353,6 +374,7 @@ class NonlinearParams:
     coupling_loss_db: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma < 0:
             raise InvalidArgument("gamma must be >= 0")
         if self.coupled_pump_power < 0 or self.coupled_signal_power < 0:

@@ -46,7 +46,6 @@ from .fwm import (
     _bloch_overlap,
     _check_domain,
     overlap_elements,
-    stimulated_idler,
 )
 from .transfer import _bloch_fields, design_periods
 
@@ -94,7 +93,7 @@ def spont_from_stim(stim: StimulatedResult, signal_power: float,
     if signal_power <= 0:
         raise InvalidArgument("signal power must be > 0")
     ratio = stim.idler_power / signal_power
-    spont_power = HBAR * stim.overlap.omega_i * window.width * ratio
+    spont_power = HBAR * stim.omega_i * window.width * ratio
     rate = window.width * ratio
     scale = None
     if stim.idler_rate > 0:
@@ -197,7 +196,8 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
         raise InvalidArgument("signal and idler grids must share their spacing")
     n1, n2 = w1.size, w2.size
     mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
-    _check_domain(mids, "pump")
+    for w, label in ((mids, "pump"), (w1, "signal"), (w2, "idler")):
+        _check_domain(w, label)
 
     rows, cols = np.indices((n1, n2))
     return _bloch_overlap(spec, _bloch_fields(spec, mids, "left").take(rows + cols),
@@ -460,10 +460,6 @@ class ContrastReport:
     slope: float | None           # d log(rate) / d log(delta_n); None if 1 point
     target_rejection_db: float
 
-    @property
-    def single_point(self) -> bool:
-        return self.slope is None
-
 
 def contrast_sweep(base_spec: GratingSpec, target_rejection_db: float,
                    contrasts, params: NonlinearParams, pulse: PumpPulse,
@@ -494,6 +490,9 @@ def contrast_sweep(base_spec: GratingSpec, target_rejection_db: float,
         j = overlap_elements(spec, [w_p], [w_s], [w_i])[0]
         rates[i] = signal_window.width * (params.gamma * pulse.peak_power * abs(j)) ** 2
         periods[i] = n
+    if np.any(rates == 0.0):
+        raise InvalidArgument("pair rate is zero (zero gamma or pump peak power); "
+                              "the contrast law is undefined")
 
     slope = None
     if contrasts.size >= 2:

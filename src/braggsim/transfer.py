@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
@@ -29,21 +28,14 @@ from .model import (
 )
 
 __all__ = [
-    "TransferMatrix",
-    "FieldDirection",
-    "FieldSegment",
-    "PiecewiseField",
     "StopbandReport",
     "layer_stack",
     "unit_cell_matrix",
     "structure_matrix",
-    "cascade",
-    "matrix_power",
     "transmission_spectrum",
     "stopband_report",
     "rejection_estimate_db",
     "design_periods",
-    "internal_fields",
 ]
 
 
@@ -57,13 +49,16 @@ def wavenumber(n_eff: float, omega) -> np.ndarray:
 
 
 def _prop_stack(k, length: float) -> np.ndarray:
+    """Uniform section of propagation constant k and the given length."""
     k = np.asarray(k, dtype=complex)
     out = np.zeros(k.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = np.exp(-1j * k * length)
     out[..., 1, 1] = np.exp(1j * k * length)
     return out
 
+
 def _iface_stack(k1, k2) -> np.ndarray:
+    """Step from a medium with k1 (left) to one with k2 (right)."""
     k1 = np.asarray(k1, dtype=complex)
     k2 = np.asarray(k2, dtype=complex)
     out = np.empty(np.broadcast(k1, k2).shape + (2, 2), dtype=complex)
@@ -74,6 +69,7 @@ def _iface_stack(k1, k2) -> np.ndarray:
     out[..., 1, 0] = d
     out[..., 1, 1] = s
     return out
+
 
 def _matmul_power(m: np.ndarray, count: int) -> np.ndarray:
     """m^count by binary exponentiation on stacked 2x2 arrays."""
@@ -89,88 +85,6 @@ def _matmul_power(m: np.ndarray, count: int) -> np.ndarray:
         if n:
             base = base @ base
     return result
-
-
-# --------------------------------------------------------------------------
-# public matrix type
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A single 2x2 transfer matrix with scattering-amplitude accessors."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidArgument("transfer matrix must be 2x2")
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(np.eye(2, dtype=complex))
-
-    @classmethod
-    def propagation(cls, k: complex, length: float) -> "TransferMatrix":
-        """Uniform section of propagation constant k and given length."""
-        if length < 0:
-            raise InvalidArgument("section length must be >= 0")
-        return cls(_prop_stack(k, length))
-
-    @classmethod
-    def interface(cls, k1: complex, k2: complex) -> "TransferMatrix":
-        """Step from a medium with k1 (left) to one with k2 (right)."""
-        if k1 == 0:
-            raise InvalidArgument("left propagation constant must be nonzero")
-        return cls(_iface_stack(k1, k2))
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.m @ other.m)
-
-    @property
-    def determinant(self) -> complex:
-        return complex(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-    @property
-    def transmission_amplitude(self) -> complex:
-        return complex(1.0 / self.m[0, 0])
-
-    @property
-    def reflection_amplitude(self) -> complex:
-        return complex(self.m[1, 0] / self.m[0, 0])
-
-    @property
-    def transmission(self) -> float:
-        return abs(self.transmission_amplitude) ** 2
-
-    @property
-    def reflection(self) -> float:
-        return abs(self.reflection_amplitude) ** 2
-
-
-def cascade(matrices) -> TransferMatrix:
-    """Product of transfer matrices ordered left to right along the structure."""
-    mats = list(matrices)
-    if not mats:
-        raise InvalidArgument("cascade of zero sections is undefined")
-    m = mats[0].m
-    for tm in mats[1:]:
-        m = m @ tm.m
-    return TransferMatrix(m)
-
-
-def matrix_power(matrix: TransferMatrix, count: int, naive: bool = False) -> TransferMatrix:
-    """matrix^count; binary exponentiation unless naive=True (reference path)."""
-    if count < 0 or int(count) != count:
-        raise InvalidArgument("count must be a non-negative integer")
-    if naive:
-        m = np.eye(2, dtype=complex)
-        for _ in range(int(count)):
-            m = m @ matrix.m
-        return TransferMatrix(m)
-    return TransferMatrix(_matmul_power(matrix.m, int(count)))
 
 
 # --------------------------------------------------------------------------
@@ -196,14 +110,11 @@ def layer_stack(spec: GratingSpec):
     return tuple(layers)
 
 
-def unit_cell_matrix(spec: GratingSpec, omega: float) -> TransferMatrix:
-    """One period as entered from the unperturbed medium."""
-    return TransferMatrix(_unit_cell_stack(spec, np.asarray(float(omega))))
-
-
-def _unit_cell_stack(spec: GratingSpec, omegas: np.ndarray) -> np.ndarray:
-    k_lo = wavenumber(spec.n_lo, omegas)
-    k_hi = wavenumber(spec.n_hi, omegas)
+def unit_cell_matrix(spec: GratingSpec, omega) -> np.ndarray:
+    """One period as entered from the unperturbed medium, shape omega.shape + (2, 2)."""
+    omega = np.asarray(omega, dtype=float)
+    k_lo = wavenumber(spec.n_lo, omega)
+    k_hi = wavenumber(spec.n_hi, omega)
     d_lo = spec.duty_cycle * spec.period
     d_hi = spec.period - d_lo
     m = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, d_lo)
@@ -211,11 +122,12 @@ def _unit_cell_stack(spec: GratingSpec, omegas: np.ndarray) -> np.ndarray:
     return m
 
 
-def _structure_stack(spec: GratingSpec, omegas: np.ndarray) -> np.ndarray:
-    """Stacked structure matrices for an array of angular frequencies."""
-    omegas = np.asarray(omegas, dtype=float)
-    k_hi = wavenumber(spec.n_hi, omegas)
-    m = _matmul_power(_unit_cell_stack(spec, omegas), spec.n_periods)
+def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
+    """Full structure (leads + grating) between unperturbed ambient media,
+    shape omega.shape + (2, 2)."""
+    omega = np.asarray(omega, dtype=float)
+    k_hi = wavenumber(spec.n_hi, omega)
+    m = _matmul_power(unit_cell_matrix(spec, omega), spec.n_periods)
     if spec.lead_in_length > 0:
         m = _prop_stack(k_hi, spec.lead_in_length) @ m
     if spec.lead_out_length > 0:
@@ -223,14 +135,9 @@ def _structure_stack(spec: GratingSpec, omegas: np.ndarray) -> np.ndarray:
     return m
 
 
-def structure_matrix(spec: GratingSpec, omega: float) -> TransferMatrix:
-    """Full structure (leads + grating) between unperturbed ambient media."""
-    return TransferMatrix(_structure_stack(spec, np.asarray(float(omega))))
-
-
 def transmission_spectrum(spec: GratingSpec, grid: FrequencyGrid) -> SweepResult:
     """Power transmission over the grid, tabulated by ascending wavelength."""
-    m = _structure_stack(spec, grid.points)
+    m = structure_matrix(spec, grid.points)
     trans = 1.0 / np.abs(m[..., 0, 0]) ** 2
     lam_nm = grid.wavelengths * 1e9
     order = np.argsort(lam_nm)
@@ -350,43 +257,6 @@ def design_periods(target_rejection_db: float, n_lo: float, delta_n: float) -> i
 # internal fields
 
 
-class FieldDirection(Enum):
-    """Boundary condition for the internal field solve."""
-
-    IN_FROM_LEFT = "in_from_left"    # unit amplitude incident on the left facet
-    OUT_TO_RIGHT = "out_to_right"    # unit amplitude exiting the right facet
-
-
-@dataclass(frozen=True)
-class FieldSegment:
-    """One uniform section; amplitudes are referenced to z_start, so the
-    field inside is a_fwd*exp(ik(z-z_start)) + a_bwd*exp(-ik(z-z_start))."""
-
-    z_start: float
-    z_end: float
-    n_eff: float
-    a_fwd: complex
-    a_bwd: complex
-
-
-@dataclass(frozen=True)
-class PiecewiseField:
-    """Piecewise-uniform field solution across a structure at one frequency."""
-
-    omega: float
-    direction: FieldDirection
-    segments: tuple
-
-    def at(self, z: float) -> complex:
-        """Field value at absolute position z inside the structure."""
-        for seg in self.segments:
-            if seg.z_start <= z <= seg.z_end:
-                k = wavenumber(seg.n_eff, self.omega)
-                return (seg.a_fwd * np.exp(1j * k * (z - seg.z_start))
-                        + seg.a_bwd * np.exp(-1j * k * (z - seg.z_start)))
-        raise InvalidArgument("z lies outside the structure")
-
-
 def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     """Per-segment (forward, backward) amplitudes at each segment's left edge.
 
@@ -402,7 +272,7 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     lengths = np.array([l for _, l in layers])
     z_starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
 
-    m = _structure_stack(spec, omegas)
+    m = structure_matrix(spec, omegas)
     k_amb = wavenumber(spec.n_hi, omegas)
     if side == "left":
         v = np.stack([np.ones_like(omegas, dtype=complex),
@@ -539,7 +409,7 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
 
     # exact facet states: the grating's entry state from the left facet and
     # its exit state from the right facet, moved across the leads
-    m = _structure_stack(spec, omegas)
+    m = structure_matrix(spec, omegas)
     one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
     if side == "left":
         facet_l = np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1)
@@ -562,28 +432,3 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
                       log_ratio=log_ratio, coef=coef, segments=segments,
                       lead_in=facet_l, lead_out=exit_, band_edge=band_edge)
-
-
-def internal_fields(spec: GratingSpec, omega: float,
-                    direction: FieldDirection) -> PiecewiseField:
-    """Solve the internal field for one frequency and boundary condition.
-
-    The OUT_TO_RIGHT mode is the phase conjugate of the field launched from
-    the right ambient, so its amplitudes are the conjugate-swapped pair of
-    that solution.
-    """
-    side = "left" if direction is FieldDirection.IN_FROM_LEFT else "right"
-    z0, lengths, n_effs, A, B = _segment_amplitudes(spec, np.asarray([float(omega)]), side)
-    segs = []
-    for j in range(z0.size):
-        a, b = complex(A[j, 0]), complex(B[j, 0])
-        if direction is FieldDirection.OUT_TO_RIGHT:
-            a, b = np.conj(b), np.conj(a)
-        segs.append(FieldSegment(
-            z_start=float(z0[j]),
-            z_end=float(z0[j] + lengths[j]),
-            n_eff=float(n_effs[j]),
-            a_fwd=a,
-            a_bwd=b,
-        ))
-    return PiecewiseField(omega=float(omega), direction=direction, segments=tuple(segs))

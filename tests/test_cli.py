@@ -129,6 +129,43 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
+def reference_variant(tmp_path, edit):
+    """The bundled reference config with `edit` applied, written to a file."""
+    raw = cli.load_config_dict(cli.bundled_config_path())
+    edit(raw)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_jsd_signal_outside_model_domain(tmp_path, capsys):
+    def edit(raw):
+        raw["windows"]["signal"]["center_nm"] = 1608.0
+        del raw["ring_comparator"]
+
+    out = tmp_path / "o"
+    assert run("jsd", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    assert "signal wavelength outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("section,key", [("nonlinear", "gamma_per_w_m"),
+                                         ("pulse", "peak_power_mw")])
+def test_contrast_sweep_zero_pair_rate_is_domain_error(tmp_path, capsys,
+                                                       section, key):
+    # any warning (the log of a zero rate) fails the test by the filter above
+    def edit(raw):
+        raw[section][key] = 0.0
+
+    assert run("contrast-sweep", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "pair rate is zero" in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # subcommands on the tiny scenario
 

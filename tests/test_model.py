@@ -215,6 +215,45 @@ def test_facet_transmission():
                               coupled_signal_power=1e-3)
 
 
+VALID = {
+    model.GratingSpec: dict(period=320e-9, duty_cycle=0.5, n_periods=2000,
+                            n_lo=2.414, delta_n=3.4985e-3),
+    model.RingSpec: dict(radius=15e-6, lambda_p=1534.55e-9, lambda_s=1544.27e-9,
+                         lambda_i=1524.94e-9, quality_factor=40000.0),
+    model.PumpPulse: dict(shape=model.PulseShape.TOPHAT, duration=1e-9,
+                          peak_power=1e-3, center_wavelength=1546.08e-9),
+    model.CollectionWindow: dict(center_wavelength=1560.05e-9, width=6.3e10),
+    model.NonlinearParams: dict(gamma=200.0, coupled_pump_power=1e-3,
+                                coupled_signal_power=1e-3, coupling_loss_db=None),
+}
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (model.GratingSpec, "period", math.nan),
+    (model.GratingSpec, "n_lo", math.inf),
+    (model.GratingSpec, "delta_n", math.nan),
+    (model.GratingSpec, "lead_out_length", math.inf),
+    (model.RingSpec, "radius", math.nan),
+    (model.RingSpec, "lambda_s", math.inf),
+    (model.RingSpec, "quality_factor", math.inf),
+    (model.RingSpec, "quality_factor", (4e4, math.nan, 4e4)),
+    (model.RingSpec, "group_index", math.nan),
+    (model.PumpPulse, "duration", math.inf),
+    (model.PumpPulse, "peak_power", math.nan),
+    (model.CollectionWindow, "center_wavelength", math.inf),
+    (model.CollectionWindow, "width", math.nan),
+    (model.NonlinearParams, "gamma", math.nan),
+    (model.NonlinearParams, "coupled_signal_power", math.inf),
+    (model.NonlinearParams, "coupling_loss_db", math.nan),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_non_finite_fields_rejected(cls, field, value):
+    # every comparison with NaN is False, so range guards alone let it pass;
+    # the optional fields left at None above still construct
+    cls(**VALID[cls])
+    with pytest.raises(model.InvalidArgument):
+        cls(**{**VALID[cls], field: value})
+
+
 class TestSweepResult:
     def test_csv_layout(self):
         r = model.SweepResult(x_name="x", x=np.array([1.0, 2.5]),
