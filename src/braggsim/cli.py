@@ -30,10 +30,6 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-SUBCOMMANDS = ("spectrum", "design", "stim-sweep", "spont-rate",
-               "contrast-sweep", "jsd", "report")
-
-
 class ConfigError(Exception):
     """Configuration file violates the schema; message carries the field path."""
 
@@ -357,17 +353,11 @@ def _json_text(obj) -> str:
 # subcommand implementations
 
 
-def _spectrum_grid(cfg: ScenarioConfig, points_override):
+def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .model import make_wavelength_grid
-    center, span, n_points = cfg.spectrum_grid_args
-    if points_override:
-        n_points = points_override
-    return make_wavelength_grid(center, span, n_points)
-
-
-def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
     from .transfer import stopband_report, transmission_spectrum
-    grid = _spectrum_grid(cfg, points_override)
+    center, span, n_points = cfg.spectrum_grid_args
+    grid = make_wavelength_grid(center, span, points or n_points)
     sweep = transmission_spectrum(cfg.grating, grid)
     report = stopband_report(cfg.grating, grid)
     summary = {
@@ -384,7 +374,7 @@ def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
             f"rejection {report.rejection_db:.2f} dB")
 
 
-def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, rejection_db):
+def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .transfer import design_periods, rejection_estimate_db
     target = cfg.target_rejection_db if rejection_db is None else rejection_db
     n = design_periods(target, cfg.grating.n_lo, cfg.grating.delta_n)
@@ -400,14 +390,12 @@ def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, rejection_db):
     out.say(f"N={n}")
 
 
-def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
+def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     import numpy as np
 
     from .fwm import dip_report, pump_sweep
-    start, stop, points, signal = cfg.pump_sweep_args
-    if points_override:
-        points = points_override
-    lam = np.linspace(start, stop, points)
+    start, stop, n_points, signal = cfg.pump_sweep_args
+    lam = np.linspace(start, stop, points or n_points)
     sweep = pump_sweep(cfg.grating, cfg.params, lam, signal)
     if fmt == "csv":
         out.write("stim_sweep.csv", sweep.to_csv_text())
@@ -421,7 +409,7 @@ def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
             f"suppression {dip.suppression_db:.1f} dB vs off-band median")
 
 
-def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str):
+def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .fwm import stimulated_idler
     from .model import _FMT, omega_from_wavelength
     from .quantum import spont_from_stim
@@ -458,7 +446,7 @@ def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str):
     out.say(f"spontaneous rate {spont.rate:.3f} pairs/s in the collection window")
 
 
-def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str):
+def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .quantum import contrast_sweep
     report = contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                             cfg.params, cfg.pulse, cfg.signal_window)
@@ -499,14 +487,13 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str):
 
 def _jsd_csv(state) -> str:
     from .model import _FMT
+    # ascending wavelength on both axes (grids are ascending in frequency);
+    # each wavelength is formatted once and reused on every row it labels
+    lam1 = [_FMT.format(x) for x in (state.signal_grid.wavelengths[::-1] * 1e9).tolist()]
+    lam2 = [_FMT.format(x) for x in (state.idler_grid.wavelengths[::-1] * 1e9).tolist()]
     rows = ["lambda_signal_nm,lambda_idler_nm,jsd_normalized"]
-    lam1 = state.signal_grid.wavelengths * 1e9
-    lam2 = state.idler_grid.wavelengths * 1e9
-    # ascending wavelength on both axes (grids are ascending in frequency)
-    for i in range(lam1.size - 1, -1, -1):
-        for k in range(lam2.size - 1, -1, -1):
-            rows.append(",".join((_FMT.format(lam1[i]), _FMT.format(lam2[k]),
-                                  _FMT.format(state.jsd[i, k]))))
+    for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1].tolist()):
+        rows.extend(f"{l1},{l2},{_FMT.format(v)}" for l2, v in zip(lam2, jsd_row))
     return "\n".join(rows) + "\n"
 
 
@@ -524,9 +511,9 @@ def _jsd_header(state, report) -> dict:
     }
 
 
-def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
+def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .quantum import schmidt_analysis, two_photon_state_bw, two_photon_state_ring
-    points = points_override or cfg.jsd_points
+    points = points or cfg.jsd_points
     bw = two_photon_state_bw(cfg.grating, cfg.params, cfg.pulse,
                              cfg.signal_window, cfg.idler_window,
                              n_points=points)
@@ -548,6 +535,24 @@ def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points_override):
             f"purity {ring_report.purity:.4f}")
 
 
+def _run_report(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+    # --points sets only the spectrum grid; design uses the configured target
+    for name in ("spectrum", "design", "stim-sweep", "spont-rate",
+                 "contrast-sweep", "jsd"):
+        _RUNNERS[name](cfg, out, fmt, points if name == "spectrum" else None, None)
+
+
+_RUNNERS = {
+    "spectrum": _run_spectrum,
+    "design": _run_design,
+    "stim-sweep": _run_stim_sweep,
+    "spont-rate": _run_spont_rate,
+    "contrast-sweep": _run_contrast_sweep,
+    "jsd": _run_jsd,
+    "report": _run_report,
+}
+
+
 # --------------------------------------------------------------------------
 # driver
 
@@ -557,7 +562,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="braggsim",
         description="Transfer-matrix and four-wave-mixing simulator for "
                     "corrugated-waveguide filters and microring pair sources.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_RUNNERS)
     parser.add_argument("--config", default=None,
                         help="scenario config (default: bundled reference)")
     parser.add_argument("--out", default=None,
@@ -583,27 +588,8 @@ def run_scenario(args) -> int:
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
     out = _Out(out_dir, force=args.force, quiet=args.quiet)
 
-    sub = args.subcommand
-    if sub == "spectrum":
-        _run_spectrum(cfg, out, args.format, args.points)
-    elif sub == "design":
-        _run_design(cfg, out, args.format, args.rejection_db)
-    elif sub == "stim-sweep":
-        _run_stim_sweep(cfg, out, args.format, args.points)
-    elif sub == "spont-rate":
-        _run_spont_rate(cfg, out, args.format)
-    elif sub == "contrast-sweep":
-        _run_contrast_sweep(cfg, out, args.format)
-    elif sub == "jsd":
-        _run_jsd(cfg, out, args.format, args.points)
-    elif sub == "report":
-        _run_spectrum(cfg, out, args.format, args.points)
-        _run_design(cfg, out, args.format, None)
-        _run_stim_sweep(cfg, out, args.format, None)
-        _run_spont_rate(cfg, out, args.format)
-        _run_contrast_sweep(cfg, out, args.format)
-        _run_jsd(cfg, out, args.format, None)
-    out.sidecar(sub, config_path)
+    _RUNNERS[args.subcommand](cfg, out, args.format, args.points, args.rejection_db)
+    out.sidecar(args.subcommand, config_path)
     for path in out.written:
         out.say(f"wrote {path}")
     return EXIT_OK

@@ -255,6 +255,22 @@ def _lorentzian(delta, gamma_fwhm):
     return (gamma_fwhm / 2.0) / (gamma_fwhm / 2.0 - 1j * np.asarray(delta))
 
 
+def _pump_pair_spectrum(pulse: PumpPulse, w_p0: float, g_p: float):
+    """Intracavity pump-pair spectrum H(s) = (1/2pi) int a(w) a(s - w) dw with
+    a = alpha * L_p, as the discrete autoconvolution of a on a uniform pump
+    grid of 8001 points spanning +-20 widths. Returns the sum grid
+    s_k = 2 p_lo + k dw (k = 0 ... 16000) and H on it."""
+    width = max(pulse.spectral_width, g_p)
+    p_lo = min(pulse.center_omega, w_p0) - 20.0 * width
+    p_hi = max(pulse.center_omega, w_p0) + 20.0 * width
+    pump_grid = FrequencyGrid(points=np.linspace(p_lo, p_hi, 8001),
+                              spacing=(p_hi - p_lo) / 8000)
+    a = (pump_spectral_amplitude(pulse, pump_grid)
+         * _lorentzian(pump_grid.points - w_p0, g_p))
+    h = np.convolve(a, a) * pump_grid.spacing / (2.0 * math.pi)
+    return 2.0 * p_lo + pump_grid.spacing * np.arange(h.size), h
+
+
 def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
                           pulse: PumpPulse,
                           signal_grid: FrequencyGrid | None = None,
@@ -291,28 +307,10 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
         return _assemble_state(np.zeros((w1.size, w2.size), dtype=complex),
                                signal_grid, idler_grid)
 
-    # intracavity pump-pair spectrum H(s) on a dense table of photon-pair
-    # energies, then interpolated onto the grid sums
-    width = max(pulse.spectral_width, g_p)
-    p_lo = min(pulse.center_omega, w_p0) - 20.0 * width
-    p_hi = max(pulse.center_omega, w_p0) + 20.0 * width
-    pump_grid = FrequencyGrid(points=np.linspace(p_lo, p_hi, 8001),
-                              spacing=(p_hi - p_lo) / 8000)
-    alpha = pump_spectral_amplitude(pulse, pump_grid)
-    wp = pump_grid.points
-
-    s_min = w1[0] + w2[0]
-    s_max = w1[-1] + w2[-1]
-    sums = np.linspace(s_min, s_max, 4001)
-    integrand = (alpha[None, :] * _lorentzian(wp - w_p0, g_p)[None, :]
-                 * np.interp(sums[:, None] - wp[None, :], wp, alpha,
-                             left=0.0, right=0.0)
-                 * _lorentzian(sums[:, None] - wp[None, :] - w_p0, g_p))
-    h_table = np.trapezoid(integrand, wp, axis=1) / (2.0 * math.pi)
-
+    sums, h_table = _pump_pair_spectrum(pulse, w_p0, g_p)
     s_grid = w1[:, None] + w2[None, :]
-    h = (np.interp(s_grid, sums, h_table.real)
-         + 1j * np.interp(s_grid, sums, h_table.imag))
+    h = (np.interp(s_grid, sums, h_table.real, left=0.0, right=0.0)
+         + 1j * np.interp(s_grid, sums, h_table.imag, left=0.0, right=0.0))
 
     enhancement = 2.0 * ring.dwelling_time("pump") / ring.round_trip_time
     phi = (math.sqrt(2.0 * math.pi) * params.gamma * HBAR * pulse.center_omega

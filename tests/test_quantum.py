@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,19 @@ class TestRingState:
         assert p_sharp > p_base
         assert p_sharp > 0.90
 
+    def test_reference_state_memory(self, scenario):
+        # the 201^2 reference state stays under a 200 MB allocation budget
+        tracemalloc.start()
+        try:
+            quantum.two_photon_state_ring(
+                scenario.ring, scenario.params, scenario.ring_pulse,
+                n_points=scenario.jsd_points,
+                span_linewidths=scenario.ring_span_linewidths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+
     def test_energy_violating_triplet_warns(self):
         off = model.RingSpec(radius=15e-6, lambda_p=1534.55e-9,
                              lambda_s=1544.27e-9, lambda_i=1525.44e-9,
@@ -236,6 +250,49 @@ class TestRingState:
                                      coupled_signal_power=1e-3)
         with pytest.warns(UserWarning, match="energy conservation"):
             quantum.two_photon_state_ring(off, zero, RING_PULSE, n_points=11)
+
+
+def _closed_form_pump_amplitude(pulse, w_p0, g_p, w, lo, hi):
+    """alpha * L_p written out from the pulse parameters, zero outside the
+    pump grid [lo, hi] (half a grid step of slack for rounding in s - w)."""
+    t = pulse.duration
+    d = w - pulse.center_omega
+    amp = math.sqrt(pulse.peak_power / (HBAR * pulse.center_omega)) * t
+    if pulse.shape is model.PulseShape.TOPHAT:
+        alpha = amp * np.sinc(d * t / (2.0 * math.pi))
+    else:
+        alpha = amp * math.sqrt(2.0 * math.pi) * np.exp(-(d * t) ** 2 / 2.0)
+    lorentz = (g_p / 2.0) / (g_p / 2.0 - 1j * (w - w_p0))
+    slack = (hi - lo) / 16000
+    return np.where((w > lo - slack) & (w < hi + slack), alpha * lorentz, 0.0)
+
+
+@pytest.mark.parametrize("pulse", [
+    RING_PULSE,
+    model.PumpPulse(model.PulseShape.TOPHAT, 100e-12, 1e-3, 1534.55e-9),
+    # detuned from the pump resonance: the grid starts 20 widths below
+    # the lower of the two, so the sum grid starts away from 2 * w_p0
+    model.PumpPulse(model.PulseShape.GAUSSIAN, 23.334e-12, 1e-3, 1534.60e-9),
+], ids=["gaussian", "tophat", "detuned"])
+def test_pump_pair_spectrum_matches_direct_sum(pulse):
+    # H(s) = (1/2pi) int a(w) a(s - w) dw by the trapezoid rule on the pump
+    # grid, with a(s - w) from the closed form at each returned sum s. The
+    # trapezoid and the plain autoconvolution differ only by half the end
+    # samples, which vanish here (Gaussian tails, sinc nulls at 20 widths).
+    w_p0 = RING.resonance_omega("pump")
+    g_p = RING.linewidth("pump")
+    sums, h = quantum._pump_pair_spectrum(pulse, w_p0, g_p)
+    width = max(pulse.spectral_width, g_p)
+    lo = min(pulse.center_omega, w_p0) - 20.0 * width
+    hi = max(pulse.center_omega, w_p0) + 20.0 * width
+    wp = np.linspace(lo, hi, 8001)
+    a = _closed_form_pump_amplitude(pulse, w_p0, g_p, wp, lo, hi)
+    assert sums.size == 16001
+    picks = np.arange(0, sums.size, 31)
+    direct = np.array([
+        np.trapezoid(a * _closed_form_pump_amplitude(pulse, w_p0, g_p, s - wp, lo, hi), wp)
+        for s in sums[picks]]) / (2.0 * math.pi)
+    assert np.max(np.abs(h[picks] - direct)) <= 1e-10 * np.max(np.abs(h))
 
 
 # --------------------------------------------------------------------------
