@@ -120,7 +120,6 @@ def _section(raw: dict, key: str, required: bool = True):
 class ScenarioConfig:
     """Fully converted scenario: structures, drive, windows, sweep ranges."""
 
-    raw: dict
     grating: GratingSpec
     ring: RingSpec | None
     ring_pulse: PumpPulse | None
@@ -235,7 +234,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
     jsd = _section(raw, "jsd", required=False) or {}
     return ScenarioConfig(
-        raw=raw,
         grating=grating,
         ring=ring,
         ring_pulse=ring_pulse,
@@ -452,16 +450,21 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, reject
                             cfg.params, cfg.pulse, cfg.signal_window)
     comparison = None
     if cfg.compare_rejection_db is not None:
-        alt = contrast_sweep(cfg.grating, cfg.compare_rejection_db,
-                             [cfg.grating.delta_n], cfg.params, cfg.pulse,
-                             cfg.signal_window)
-        base = contrast_sweep(cfg.grating, cfg.target_rejection_db,
-                              [cfg.grating.delta_n], cfg.params, cfg.pulse,
-                              cfg.signal_window)
-        r0 = float(base.sweep.column("pair_rate_per_s")[0])
-        r1 = float(alt.sweep.column("pair_rate_per_s")[0])
+        dn = cfg.grating.delta_n
+
+        def rate_at(rejection_db):
+            single = contrast_sweep(cfg.grating, rejection_db, [dn], cfg.params,
+                                    cfg.pulse, cfg.signal_window)
+            return float(single.sweep.column("pair_rate_per_s")[0])
+
+        # the main sweep already holds the target-rejection rate when the
+        # grating's own contrast is among the swept ones
+        swept = report.sweep.x.tolist()
+        r0 = float(report.sweep.column("pair_rate_per_s")[swept.index(dn)]) \
+            if dn in swept else rate_at(cfg.target_rejection_db)
+        r1 = rate_at(cfg.compare_rejection_db)
         comparison = {
-            "delta_n": cfg.grating.delta_n,
+            "delta_n": dn,
             "target_rejection_db": cfg.target_rejection_db,
             "compare_rejection_db": cfg.compare_rejection_db,
             "target_rate_per_s": r0,

@@ -131,8 +131,25 @@ def _mode_axis(x, axis: int):
     return x.reshape(x.shape[:-1] + tuple(shape))
 
 
-def _bloch_overlap(spec: GratingSpec, fp: BlochField, fs: BlochField,
-                   fi: BlochField) -> np.ndarray:
+# elements per pass of the Bloch kernel: its (elements x 16 mode combinations)
+# temporaries stay near 1 MB each however many elements are asked for
+_CHUNK = 4096
+
+
+def _bloch_overlap(spec: GratingSpec, fields, index) -> np.ndarray:
+    """J from the (pump, signal, idler) BlochField tables `fields` gathered by
+    the matching triple `index` of equal-shape integer arrays (the result's
+    shape), _CHUNK elements at a time so that memory stays bounded."""
+    flat = [np.ravel(i) for i in index]
+    out = np.empty(flat[0].size, dtype=complex)
+    for lo in range(0, out.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        out[part] = _bloch_chunk(spec, *(f.take(i[part]) for f, i in zip(fields, flat)))
+    return out.reshape(np.shape(index[0]))
+
+
+def _bloch_chunk(spec: GratingSpec, fp: BlochField, fs: BlochField,
+                 fi: BlochField) -> np.ndarray:
     """J from Bloch-mode fields gathered element-wise (equal leading shapes).
 
     Each of the 16 (pump, pump, signal*, idler) mode combinations is a
@@ -206,9 +223,9 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
         raise InvalidArgument("frequency arrays must have matching shapes")
     for w, label in ((omega_p, "pump"), (omega_s, "signal"), (omega_i, "idler")):
         _check_domain(w, label)
-    return _bloch_overlap(spec, _bloch_fields(spec, omega_p, "left"),
-                          _bloch_fields(spec, omega_s, "left"),
-                          _bloch_fields(spec, omega_i, "right"))
+    fields = (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
+              _bloch_fields(spec, omega_i, "right"))
+    return _bloch_overlap(spec, fields, (np.arange(omega_p.size),) * 3)
 
 
 # --------------------------------------------------------------------------

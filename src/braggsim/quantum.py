@@ -200,9 +200,9 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
         _check_domain(w, label)
 
     rows, cols = np.indices((n1, n2))
-    return _bloch_overlap(spec, _bloch_fields(spec, mids, "left").take(rows + cols),
-                          _bloch_fields(spec, w1, "left").take(rows),
-                          _bloch_fields(spec, w2, "right").take(cols))
+    fields = (_bloch_fields(spec, mids, "left"), _bloch_fields(spec, w1, "left"),
+              _bloch_fields(spec, w2, "right"))
+    return _bloch_overlap(spec, fields, (rows + cols, rows, cols))
 
 
 def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,

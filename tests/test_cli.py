@@ -282,6 +282,38 @@ def test_contrast_sweep_outputs(tiny_config, tmp_path):
     assert [float(x) for x in obj["columns"]["delta_n"]] == [0.002, 0.004, 0.008]
 
 
+@pytest.mark.parametrize("contrasts,calls", [
+    ([0.002, 0.0034985, 0.008], 2), ([0.002, 0.004, 0.008], 3)],
+    ids=["delta_n-swept", "delta_n-not-swept"])
+def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts, calls):
+    # the target-rejection rate of the grating's own contrast is read from
+    # the main sweep when that contrast is swept; only the comparison design
+    # then needs a sweep of its own
+    from braggsim import model, quantum
+    raw = dict(TINY, contrast_sweep=dict(TINY["contrast_sweep"], contrasts=contrasts))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    real = quantum.contrast_sweep
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "contrast_sweep", counting)
+    out = tmp_path / "out"
+    assert run("contrast-sweep", "--config", str(path), "--out", str(out),
+               "--format", "json") == 0
+    assert len(seen) == calls
+    cfg = cli.build_scenario(raw)
+    rates = [real(cfg.grating, db, [0.0034985], cfg.params, cfg.pulse,
+                  cfg.signal_window).sweep.column("pair_rate_per_s")[0]
+             for db in (12.0, 30.0)]
+    cmp_obj = json.loads((out / "contrast_sweep.json").read_text())["rejection_comparison"]
+    assert cmp_obj["target_rate_per_s"] == model._FMT.format(float(rates[0]))
+    assert cmp_obj["compare_rate_per_s"] == model._FMT.format(float(rates[1]))
+
+
 def test_jsd_without_ring_skips_ring_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "jsd"
     assert run("jsd", "--config", str(tiny_config), "--out", str(out)) == 0

@@ -339,3 +339,62 @@ class TestBandEdge:
         value = fwm.overlap_elements(REF, *args)
         assert np.all(np.isfinite(value))
         assert max_rel(value, oracle(REF, *args)) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# coupled-mode-theory oracle at the stopband centre
+
+
+def cmt_overlap_per_length(spec):
+    """(|J|/L, kappa L) at the Bragg wavelength from coupled-mode theory
+    (Kogelnik & Shank 1972; Erdogan 1997).
+
+    kappa = 2 |delta_n| sin(pi D) / lambda_B; the forward pump envelope is
+    cosh(kappa (L - z)) / cosh(kappa L) and signal and idler are taken as
+    unit plane waves, so J = int F^2 dz. None of the transfer-matrix, facet
+    or idler-mode conventions of the Bloch kernel enter.
+    """
+    kappa = (2.0 * abs(spec.delta_n) * math.sin(math.pi * spec.duty_cycle)
+             / spec.bragg_wavelength)
+    length = spec.total_length
+    kl = kappa * length
+    j = (length / 2.0 + math.sinh(2.0 * kl) / (4.0 * kappa)) / math.cosh(kl) ** 2
+    return j / length, kl
+
+
+def cmt_spec(seed):
+    """Random (delta_n, D, N) with kappa L drawn from 0.5 to 6."""
+    rng = np.random.default_rng(seed)
+    delta_n = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 8e-3)
+    duty = rng.uniform(0.2, 0.8)
+    kappa_l = rng.uniform(0.5, 6.0)
+    spec = model.GratingSpec(period=320e-9, duty_cycle=duty, n_periods=1,
+                             n_lo=2.414, delta_n=delta_n)
+    kappa = 2.0 * abs(delta_n) * math.sin(math.pi * duty) / spec.bragg_wavelength
+    return replace(spec, n_periods=max(1, round(kappa_l / (kappa * spec.period))))
+
+
+def bloch_overlap_per_length(spec, lambda_s):
+    w_p = model.omega_from_wavelength(spec.bragg_wavelength)
+    w_s = model.omega_from_wavelength(lambda_s)
+    j = fwm.overlap_elements(spec, [w_p], [w_s], [2.0 * w_p - w_s])[0]
+    return abs(j) / spec.total_length
+
+
+class TestCoupledModeOracle:
+    def test_reference_grating(self):
+        expected, kl = cmt_overlap_per_length(REF)
+        assert kl == pytest.approx(2.8964, abs=1e-4)
+        value = bloch_overlap_per_length(REF, 1560.05e-9)
+        assert abs(value / expected - 1.0) < 0.01
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_specs(self, seed):
+        # signal and idler ~30 nm from the stopband, where the oracle's
+        # unit plane waves hold; nearer in, the grating's ripple on them
+        # adds an error of order (kappa / detuning)^2
+        spec = cmt_spec(seed)
+        expected, kl = cmt_overlap_per_length(spec)
+        assert 0.49 < kl < 6.01
+        value = bloch_overlap_per_length(spec, spec.bragg_wavelength + 30e-9)
+        assert abs(value / expected - 1.0) < 0.01, (spec, kl, value / expected - 1.0)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from braggsim import fwm, model, quantum
+from braggsim import fwm, model, quantum, transfer
 from braggsim.constants import HBAR
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
@@ -170,6 +170,77 @@ class TestWaveguideState:
         with pytest.warns(UserWarning, match="long-pulse"):
             quantum.two_photon_state_bw(SMALL, PARAMS, short, SIGNAL_WIN,
                                         IDLER_WIN, n_points=11)
+
+
+# --------------------------------------------------------------------------
+# overlap table evaluated in fixed-size chunks
+
+
+def exact_grids(n1, n2):
+    """Signal and idler grids of spacing 2**29 rad/s on multiples of it, so
+    that (w1 + w2)/2 reproduces the table's pump midpoints bit for bit."""
+    step = 2.0 ** 29
+    start1 = round(SIGNAL_WIN.center_omega / step) * step
+    start2 = round(IDLER_WIN.center_omega / step) * step
+    return start1 + step * np.arange(n1), start2 + step * np.arange(n2)
+
+
+class TestChunkedTable:
+    def test_reference_table_memory(self):
+        # the ROADMAP target for the 401^2 reference table: J is formed a
+        # fixed number of elements at a time, so the peak does not grow
+        # with the grid
+        w1 = SIGNAL_WIN.grid(401).points
+        w2 = IDLER_WIN.grid(401).points
+        tracemalloc.start()
+        try:
+            quantum._bw_overlap_table(REF, w1, w2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_table_over_three_chunks_equals_elements(self):
+        w1, w2 = exact_grids(97, 101)
+        table = quantum._bw_overlap_table(REF, w1, w2)
+        # two full chunks and a partial third one
+        assert 2 * fwm._CHUNK < table.size < 3 * fwm._CHUNK
+        s1, s2 = np.meshgrid(w1, w2, indexing="ij")
+        args = (((s1 + s2) / 2.0).ravel(), s1.ravel(), s2.ravel())
+        # pieces smaller than one chunk, not aligned with the table's chunks
+        pieces = [fwm.overlap_elements(REF, *(a[i:i + 1000] for a in args))
+                  for i in range(0, s1.size, 1000)]
+        np.testing.assert_array_equal(table.ravel(), np.concatenate(pieces))
+
+    @pytest.mark.filterwarnings("error")
+    def test_band_edge_row_in_a_later_chunk(self, monkeypatch):
+        # q == 0 forced at one signal frequency whose row of the table lies
+        # wholly inside the second chunk
+        w1, w2 = exact_grids(97, 101)
+        row = 60
+        assert fwm._CHUNK <= row * w2.size < (row + 1) * w2.size <= 2 * fwm._CHUNK
+        clean = quantum._bw_overlap_table(REF, w1, w2)
+        exact, segment_sum = transfer._bloch_cosine, fwm._overlap_segment_sum
+        calls = []
+
+        def degenerate(spec, omegas):
+            sign, q = exact(spec, omegas)
+            return sign, np.where(omegas == w1[row], 0.0, q)
+
+        def recording(spec, omega_p, omega_s, omega_i):
+            calls.append(omega_s.copy())
+            return segment_sum(spec, omega_p, omega_s, omega_i)
+
+        monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+        monkeypatch.setattr(fwm, "_overlap_segment_sum", recording)
+        table = quantum._bw_overlap_table(REF, w1, w2)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.full(w2.size, w1[row]))
+        np.testing.assert_array_equal(
+            table[row], segment_sum(REF, (w1[row] + w2) / 2.0, calls[0], w2))
+        np.testing.assert_allclose(table[row], clean[row], rtol=1e-9, atol=0.0)
+        others = np.arange(w1.size) != row
+        np.testing.assert_array_equal(table[others], clean[others])
 
 
 # --------------------------------------------------------------------------
