@@ -7,9 +7,10 @@ Design rules:
   (4);
 * all physical config fields carry unit suffixes in their names (_nm, _um,
   _mw, _ghz, _ns, _ps) and are converted to SI on load;
-* the BRAGGSIM_THREADS environment variable caps numeric parallelism
-  (0 or unset = automatic), which is why the numeric modules are imported
-  only after it has been applied.
+* the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
+  BLAS/OpenMP and in the overlap kernel's threads (0 or unset = automatic),
+  which is why the numeric modules are imported only after it has been
+  applied.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .threads import requested_threads
 
 if TYPE_CHECKING:   # numpy must not load before _apply_thread_env runs
     from .model import CollectionWindow, GratingSpec, NonlinearParams, PumpPulse, RingSpec
@@ -40,15 +43,12 @@ class IOFailure(Exception):
 
 def _apply_thread_env() -> None:
     """Cap BLAS/OpenMP parallelism before numpy is imported anywhere."""
-    raw = os.environ.get("BRAGGSIM_THREADS", "").strip()
-    if not raw or raw == "0":
-        return
     try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BRAGGSIM_THREADS: expected an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("BRAGGSIM_THREADS: must be >= 0")
+        n = requested_threads()
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if n == 0:
+        return
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(n)
@@ -299,10 +299,14 @@ class _Out:
             raise IOFailure(f"refusing to overwrite {target} (use --force)")
         return target
 
-    def write(self, name: str, text: str) -> Path:
+    def write(self, name: str, text: str, blocks=()) -> Path:
+        """Write `text`, then each string of `blocks` as it is produced, so a
+        large table need never be held as one string."""
         target = self._prepare(name)
         try:
-            target.write_text(text)
+            with target.open("w") as f:
+                f.write(text)
+                f.writelines(blocks)
         except OSError as exc:
             raise IOFailure(f"cannot write {target}: {exc}")
         self.written.append(target)
@@ -353,11 +357,11 @@ def _json_text(obj) -> str:
 
 def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
     from .model import make_wavelength_grid
-    from .transfer import stopband_report, transmission_spectrum
+    from .transfer import spectrum_stopband, transmission_spectrum
     center, span, n_points = cfg.spectrum_grid_args
     grid = make_wavelength_grid(center, span, points or n_points)
     sweep = transmission_spectrum(cfg.grating, grid)
-    report = stopband_report(cfg.grating, grid)
+    report = spectrum_stopband(sweep)
     summary = {
         "center_wavelength_nm": report.center_wavelength * 1e9,
         "rejection_db": report.rejection_db,
@@ -488,16 +492,19 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, reject
                 f"{100 * comparison['relative_difference']:.2f}%")
 
 
-def _jsd_csv(state) -> str:
+_JSD_CSV_HEADER = "lambda_signal_nm,lambda_idler_nm,jsd_normalized\n"
+
+
+def _jsd_csv(state):
+    """The rows of the JSD CSV below _JSD_CSV_HEADER, one block of text per
+    signal wavelength, ascending in wavelength on both axes (the grids
+    ascend in frequency); each wavelength is formatted once."""
     from .model import _FMT
-    # ascending wavelength on both axes (grids are ascending in frequency);
-    # each wavelength is formatted once and reused on every row it labels
     lam1 = [_FMT.format(x) for x in (state.signal_grid.wavelengths[::-1] * 1e9).tolist()]
     lam2 = [_FMT.format(x) for x in (state.idler_grid.wavelengths[::-1] * 1e9).tolist()]
-    rows = ["lambda_signal_nm,lambda_idler_nm,jsd_normalized"]
-    for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1].tolist()):
-        rows.extend(f"{l1},{l2},{_FMT.format(v)}" for l2, v in zip(lam2, jsd_row))
-    return "\n".join(rows) + "\n"
+    for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1]):
+        yield "".join(f"{l1},{l2},{_FMT.format(v)}\n"
+                      for l2, v in zip(lam2, jsd_row.tolist()))
 
 
 def _jsd_header(state, report) -> dict:
@@ -521,7 +528,7 @@ def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
                              cfg.signal_window, cfg.idler_window,
                              n_points=points)
     bw_report = schmidt_analysis(bw)
-    out.write("jsd_bw.csv", _jsd_csv(bw))
+    out.write("jsd_bw.csv", _JSD_CSV_HEADER, _jsd_csv(bw))
     out.write("jsd_bw.json", _json_text(_jsd_header(bw, bw_report)))
     out.say(f"waveguide pair state: beta_sq {bw.beta_sq:.4e}, "
             f"purity {bw_report.purity:.4f}")
@@ -532,7 +539,7 @@ def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
                                  n_points=points,
                                  span_linewidths=cfg.ring_span_linewidths)
     ring_report = schmidt_analysis(ring)
-    out.write("jsd_ring.csv", _jsd_csv(ring))
+    out.write("jsd_ring.csv", _JSD_CSV_HEADER, _jsd_csv(ring))
     out.write("jsd_ring.json", _json_text(_jsd_header(ring, ring_report)))
     out.say(f"ring pair state: beta_sq {ring.beta_sq:.4e}, "
             f"purity {ring_report.purity:.4f}")

@@ -16,6 +16,7 @@ P_i = (gamma P_p)^2 P_s |J|^2.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .model import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
+from .threads import thread_count
 from .transfer import BlochField, _bloch_fields, _segment_amplitudes
 
 __all__ = [
@@ -131,21 +133,65 @@ def _mode_axis(x, axis: int):
     return x.reshape(x.shape[:-1] + tuple(shape))
 
 
-# elements per pass of the Bloch kernel: its (elements x 16 mode combinations)
-# temporaries stay near 1 MB each however many elements are asked for
-_CHUNK = 4096
+# elements per task of the Bloch kernel: its (elements x 16 mode combinations)
+# temporaries stay near 0.5 MB each however many elements are asked for, and
+# the elements in flight are the worker threads times this
+_CHUNK = 2048
 
 
-def _bloch_overlap(spec: GratingSpec, fields, index) -> np.ndarray:
-    """J from the (pump, signal, idler) BlochField tables `fields` gathered by
-    the matching triple `index` of equal-shape integer arrays (the result's
-    shape), _CHUNK elements at a time so that memory stays bounded."""
-    flat = [np.ravel(i) for i in index]
-    out = np.empty(flat[0].size, dtype=complex)
-    for lo in range(0, out.size, _CHUNK):
+def _bloch_overlap(spec: GratingSpec, fields, index=None) -> np.ndarray:
+    """J from the (pump, signal, idler) BlochField tables `fields`.
+
+    `index` is a matching triple of equal-shape integer arrays (the result's
+    shape) that gathers the three fields for each element; None pairs the
+    tables element by element. The elements are split into tasks of _CHUNK,
+    run on up to thread_count() threads; each task writes its own slice of
+    the result, so J does not depend on the thread count.
+    """
+    flat = None if index is None else [np.ravel(i) for i in index]
+    out = np.empty(fields[0].omega.size if flat is None else flat[0].size, dtype=complex)
+
+    def task(lo):
         part = slice(lo, lo + _CHUNK)
-        out[part] = _bloch_chunk(spec, *(f.take(i[part]) for f, i in zip(fields, flat)))
-    return out.reshape(np.shape(index[0]))
+        picks = (part,) * 3 if flat is None else (i[part] for i in flat)
+        out[part] = _bloch_chunk(spec, *(f.take(p) for f, p in zip(fields, picks)))
+
+    _run_tasks(task, range(0, out.size, _CHUNK))
+    return out if index is None else out.reshape(np.shape(index[0]))
+
+
+def _run_tasks(task, items) -> None:
+    """Call task(item) for every item, on min(thread_count(), len(items))
+    threads, the calling thread among them. Numpy releases the interpreter
+    lock inside its ufuncs, so the threads overlap. The first exception
+    stops the remaining tasks and is raised here once all threads are done.
+    """
+    todo = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                item = next(todo, None) if not errors else None
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException as exc:      # re-raised in the calling thread
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(thread_count(), len(items)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _bloch_chunk(spec: GratingSpec, fp: BlochField, fs: BlochField,
@@ -225,7 +271,7 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
         _check_domain(w, label)
     fields = (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
               _bloch_fields(spec, omega_i, "right"))
-    return _bloch_overlap(spec, fields, (np.arange(omega_p.size),) * 3)
+    return _bloch_overlap(spec, fields)
 
 
 # --------------------------------------------------------------------------

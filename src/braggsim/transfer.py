@@ -34,6 +34,7 @@ __all__ = [
     "structure_matrix",
     "transmission_spectrum",
     "stopband_report",
+    "spectrum_stopband",
     "rejection_estimate_db",
     "design_periods",
 ]
@@ -189,9 +190,13 @@ def stopband_report(spec: GratingSpec, grid: FrequencyGrid,
     The center is the sampled transmission minimum; the band edges are
     interpolated crossings of -threshold_db on either side of it.
     """
+    return spectrum_stopband(transmission_spectrum(spec, grid), threshold_db)
+
+
+def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> StopbandReport:
+    """stopband_report from a transmission_spectrum already computed."""
     if threshold_db <= 0:
         raise InvalidArgument("threshold_db must be > 0")
-    sweep = transmission_spectrum(spec, grid)
     lam = sweep.x * 1e-9
     trans = sweep.column("transmission")
     db = sweep.column("transmission_db")
@@ -331,8 +336,10 @@ class BlochField:
     - coef:       (..., 2)
     - segments:   (..., 2, 2, 2)  each mode's amplitudes at the left edge of
                                   each segment of a period
-    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in)
-    - lead_out:   (..., 2)        amplitudes at the grating's right end
+    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in);
+                                  None without a lead-in
+    - lead_out:   (..., 2)        amplitudes at the grating's right end; None
+                                  without a lead-out
     - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
     """
 
@@ -341,14 +348,16 @@ class BlochField:
     log_ratio: np.ndarray
     coef: np.ndarray
     segments: np.ndarray
-    lead_in: np.ndarray
-    lead_out: np.ndarray
+    lead_in: np.ndarray | None
+    lead_out: np.ndarray | None
     band_edge: np.ndarray
 
     def take(self, index) -> "BlochField":
-        """The fields at frequency indices `index` (any shape)."""
-        return BlochField(**{f.name: np.take(getattr(self, f.name), index, axis=0)
-                             for f in fields(self)})
+        """The fields at frequency indices `index`: an integer array of any
+        shape (a copy) or a slice (views, no copy)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return BlochField(**{name: None if v is None else v[index]
+                             for name, v in values.items()})
 
 
 def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
@@ -431,4 +440,6 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     ], axis=-1)
     return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
                       log_ratio=log_ratio, coef=coef, segments=segments,
-                      lead_in=facet_l, lead_out=exit_, band_edge=band_edge)
+                      lead_in=facet_l if spec.lead_in_length > 0 else None,
+                      lead_out=exit_ if spec.lead_out_length > 0 else None,
+                      band_edge=band_edge)

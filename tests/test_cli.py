@@ -332,6 +332,25 @@ def test_jsd_without_ring_skips_ring_outputs(tiny_config, tmp_path, capsys):
     assert first[0] < last[0] and first[1] < last[1]
 
 
+def test_jsd_csv_is_streamed_unchanged(tmp_path):
+    # the CSV written block by block equals the table formatted as one
+    # string, element by element
+    from braggsim import model
+    from braggsim.quantum import two_photon_state_ring
+    cfg = cli.build_scenario(cli.load_config_dict(cli.bundled_config_path()))
+    state = two_photon_state_ring(cfg.ring, cfg.params, cfg.ring_pulse, n_points=37)
+    lam1 = state.signal_grid.wavelengths * 1e9
+    lam2 = state.idler_grid.wavelengths * 1e9
+    rows = ["lambda_signal_nm,lambda_idler_nm,jsd_normalized"]
+    for a in range(lam1.size - 1, -1, -1):
+        for b in range(lam2.size - 1, -1, -1):
+            rows.append(",".join(model._FMT.format(float(v))
+                                 for v in (lam1[a], lam2[b], state.jsd[a, b])))
+    out = cli._Out(tmp_path, force=False, quiet=True)
+    out.write("jsd.csv", cli._JSD_CSV_HEADER, cli._jsd_csv(state))
+    assert (tmp_path / "jsd.csv").read_text() == "\n".join(rows) + "\n"
+
+
 def test_report_writes_everything(tiny_config, tmp_path):
     out = tmp_path / "report"
     assert run("report", "--config", str(tiny_config), "--out", str(out),
@@ -379,6 +398,61 @@ def test_thread_env_invalid(tiny_config, tmp_path, monkeypatch, capsys):
     out = tmp_path / "design"
     assert run("design", "--config", str(tiny_config), "--out", str(out)) == 2
     assert "BRAGGSIM_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,expected", [("", None), ("0", None), (" 3 ", 3)])
+def test_thread_count(monkeypatch, raw, expected):
+    import os
+
+    from braggsim import threads
+    monkeypatch.setenv("BRAGGSIM_THREADS", raw)
+    cores = len(os.sched_getaffinity(0))
+    assert threads.thread_count() == (expected or cores)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_thread_count_invalid(monkeypatch, raw):
+    from braggsim import threads
+    monkeypatch.setenv("BRAGGSIM_THREADS", raw)
+    with pytest.raises(ValueError, match="BRAGGSIM_THREADS"):
+        threads.thread_count()
+
+
+def test_design_does_not_import_concurrent_futures(tiny_config, tmp_path):
+    # design imports fwm; a thread pool module loaded at import time would
+    # cost every short command its start-up
+    import subprocess
+    import sys
+    code = ("import sys; from braggsim import cli; "
+            f"code = cli.main(['design', '--config', {str(tiny_config)!r}, "
+            f"'--out', {str(tmp_path)!r}, '--quiet']); "
+            "print(code, 'braggsim.fwm' in sys.modules, "
+            "'concurrent.futures' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={"PYTHONPATH": src})
+    assert done.stdout.split() == ["0", "True", "False"], done.stderr
+
+
+def test_spectrum_is_computed_once(tiny_config, tmp_path, monkeypatch):
+    from braggsim import model, transfer
+    real = transfer.transmission_spectrum
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transfer, "transmission_spectrum", counting)
+    out = tmp_path / "spec"
+    assert run("spectrum", "--config", str(tiny_config), "--out", str(out),
+               "--format", "json") == 0
+    assert len(calls) == 1
+    summary = json.loads((out / "spectrum.json").read_text())["summary"]
+    report = transfer.stopband_report(*calls[0])
+    assert summary["rejection_db"] == model._FMT.format(report.rejection_db)
+    assert summary["center_wavelength_nm"] == model._FMT.format(
+        report.center_wavelength * 1e9)
 
 
 def test_points_must_be_at_least_two(tiny_config, tmp_path, capsys):

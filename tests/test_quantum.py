@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -185,6 +186,13 @@ def exact_grids(n1, n2):
     return start1 + step * np.arange(n1), start2 + step * np.arange(n2)
 
 
+def three_chunk_grids():
+    """exact_grids of 101 idler points and as many signal rows as make two
+    and a half fwm._CHUNK elements: two full chunks and a partial third."""
+    n2 = 101
+    return exact_grids(5 * fwm._CHUNK // 2 // n2, n2)
+
+
 class TestChunkedTable:
     def test_reference_table_memory(self):
         # the ROADMAP target for the 401^2 reference table: J is formed a
@@ -201,7 +209,7 @@ class TestChunkedTable:
         assert peak < 40e6
 
     def test_table_over_three_chunks_equals_elements(self):
-        w1, w2 = exact_grids(97, 101)
+        w1, w2 = three_chunk_grids()
         table = quantum._bw_overlap_table(REF, w1, w2)
         # two full chunks and a partial third one
         assert 2 * fwm._CHUNK < table.size < 3 * fwm._CHUNK
@@ -216,8 +224,8 @@ class TestChunkedTable:
     def test_band_edge_row_in_a_later_chunk(self, monkeypatch):
         # q == 0 forced at one signal frequency whose row of the table lies
         # wholly inside the second chunk
-        w1, w2 = exact_grids(97, 101)
-        row = 60
+        w1, w2 = three_chunk_grids()
+        row = -(-fwm._CHUNK // w2.size)     # the first row to start in chunk 2
         assert fwm._CHUNK <= row * w2.size < (row + 1) * w2.size <= 2 * fwm._CHUNK
         clean = quantum._bw_overlap_table(REF, w1, w2)
         exact, segment_sum = transfer._bloch_cosine, fwm._overlap_segment_sum
@@ -241,6 +249,57 @@ class TestChunkedTable:
         np.testing.assert_allclose(table[row], clean[row], rtol=1e-9, atol=0.0)
         others = np.arange(w1.size) != row
         np.testing.assert_array_equal(table[others], clean[others])
+
+    @pytest.mark.parametrize("n1,n2", [(97, 101), (201, 201)])
+    def test_table_does_not_depend_on_thread_count(self, monkeypatch, n1, n2):
+        # 97 x 101 ends in a partial task
+        w1, w2 = exact_grids(n1, n2)
+        tables = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BRAGGSIM_THREADS", threads)
+            tables.append(quantum._bw_overlap_table(REF, w1, w2))
+        for table in tables[1:]:
+            np.testing.assert_array_equal(table, tables[0])
+
+    def test_error_in_a_helper_thread_propagates(self, monkeypatch):
+        # the main thread holds its first task until a helper thread has
+        # started one, which then fails
+        monkeypatch.setenv("BRAGGSIM_THREADS", "2")
+        real = fwm._bloch_chunk
+        helper_started = threading.Event()
+
+        def failing_off_main(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(timeout=30)
+                return real(*args)
+            helper_started.set()
+            raise RuntimeError("failed in a helper thread")
+
+        monkeypatch.setattr(fwm, "_bloch_chunk", failing_off_main)
+        before = threading.active_count()
+        w1, w2 = exact_grids(97, 101)
+        with pytest.raises(RuntimeError, match="helper thread"):
+            quantum._bw_overlap_table(REF, w1, w2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads,items,helpers", [
+        ("1", 5, 0), ("3", 1, 0), ("3", 2, 1), ("3", 5, 2), ("0", 1, 0)])
+    def test_worker_threads(self, monkeypatch, threads, items, helpers):
+        # min(BRAGGSIM_THREADS, tasks) threads, the caller one of them, so a
+        # one-task call (a sweep up to _CHUNK points) starts no thread
+        monkeypatch.setenv("BRAGGSIM_THREADS", threads)
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(fwm.threading, "Thread", Counting)
+        done = []
+        fwm._run_tasks(done.append, range(items))
+        assert sorted(done) == list(range(items))
+        assert len(started) == helpers
 
 
 # --------------------------------------------------------------------------
