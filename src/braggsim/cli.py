@@ -8,7 +8,8 @@ Design rules:
 * all physical config fields carry unit suffixes in their names (_nm, _um,
   _mw, _ghz, _ns, _ps) and are converted to SI on load;
 * the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
-  BLAS/OpenMP and in the overlap kernel's threads (0 or unset = automatic),
+  BLAS/OpenMP and in the overlap kernel's threads (0 or unset = automatic;
+  the kernel uses at most two),
   which is why the numeric modules are imported only after it has been
   applied.
 """

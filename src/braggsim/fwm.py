@@ -16,7 +16,6 @@ P_i = (gamma P_p)^2 P_s |J|^2.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -134,64 +133,55 @@ def _mode_axis(x, axis: int):
 
 
 # elements per task of the Bloch kernel: its (elements x 16 mode combinations)
-# temporaries stay near 0.5 MB each however many elements are asked for, and
-# the elements in flight are the worker threads times this
+# temporaries stay near 0.5 MB each however many elements are asked for
 _CHUNK = 2048
+# elements in flight at once, whatever the thread count: the budget of the
+# serial kernel (one pass of 4096), which caps the kernel at two threads, the
+# count its speed and memory were measured at
+_IN_FLIGHT = 4096
 
 
 def _bloch_overlap(spec: GratingSpec, fields, index=None) -> np.ndarray:
     """J from the (pump, signal, idler) BlochField tables `fields`.
 
-    `index` is a matching triple of equal-shape integer arrays (the result's
-    shape) that gathers the three fields for each element; None pairs the
+    `index` is a matching triple of integer arrays that broadcast together
+    to the result's shape and gather the three fields for each element, so
+    that a product grid needs no index array of its own size; None pairs the
     tables element by element. The elements are split into tasks of _CHUNK,
-    run on up to thread_count() threads; each task writes its own slice of
-    the result, so J does not depend on the thread count.
+    run on _workers() threads; each task gathers and writes only its own
+    slice of the result, so J does not depend on the thread count.
     """
-    flat = None if index is None else [np.ravel(i) for i in index]
-    out = np.empty(fields[0].omega.size if flat is None else flat[0].size, dtype=complex)
+    shape = fields[0].omega.shape if index is None else np.broadcast_shapes(
+        *(np.shape(i) for i in index))
+    out = np.empty(math.prod(shape), dtype=complex)
 
     def task(lo):
         part = slice(lo, lo + _CHUNK)
-        picks = (part,) * 3 if flat is None else (i[part] for i in flat)
+        if index is None:
+            picks = (part,) * 3
+        else:
+            at = np.unravel_index(np.arange(lo, min(lo + _CHUNK, out.size)), shape)
+            picks = (np.broadcast_to(i, shape)[at] for i in index)
         out[part] = _bloch_chunk(spec, *(f.take(p) for f, p in zip(fields, picks)))
 
-    _run_tasks(task, range(0, out.size, _CHUNK))
-    return out if index is None else out.reshape(np.shape(index[0]))
+    starts = range(0, out.size, _CHUNK)
+    workers = _workers(len(starts))
+    if workers == 1:
+        for lo in starts:
+            task(lo)
+    else:
+        # numpy releases the interpreter lock inside its ufuncs, so the
+        # threads overlap; imported here to keep it out of short commands
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(task, starts))
+    return out.reshape(shape)
 
 
-def _run_tasks(task, items) -> None:
-    """Call task(item) for every item, on min(thread_count(), len(items))
-    threads, the calling thread among them. Numpy releases the interpreter
-    lock inside its ufuncs, so the threads overlap. The first exception
-    stops the remaining tasks and is raised here once all threads are done.
-    """
-    todo = iter(items)
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        while True:
-            with lock:
-                item = next(todo, None) if not errors else None
-            if item is None:
-                return
-            try:
-                task(item)
-            except BaseException as exc:      # re-raised in the calling thread
-                with lock:
-                    errors.append(exc)
-                return
-
-    helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(thread_count(), len(items)) - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
+def _workers(tasks: int) -> int:
+    """Threads for `tasks` tasks: thread_count(), at most _IN_FLIGHT // _CHUNK
+    and at most `tasks`. One task reads no setting."""
+    return 1 if tasks < 2 else min(thread_count(), _IN_FLIGHT // _CHUNK, tasks)
 
 
 def _bloch_chunk(spec: GratingSpec, fp: BlochField, fs: BlochField,

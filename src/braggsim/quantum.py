@@ -199,7 +199,7 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
     for w, label in ((mids, "pump"), (w1, "signal"), (w2, "idler")):
         _check_domain(w, label)
 
-    rows, cols = np.indices((n1, n2))
+    rows, cols = np.arange(n1)[:, None], np.arange(n2)
     fields = (_bloch_fields(spec, mids, "left"), _bloch_fields(spec, w1, "left"),
               _bloch_fields(spec, w2, "right"))
     return _bloch_overlap(spec, fields, (rows + cols, rows, cols))

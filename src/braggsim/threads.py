@@ -25,5 +25,11 @@ def requested_threads() -> int:
 
 
 def thread_count() -> int:
-    """Threads to use: BRAGGSIM_THREADS, or the usable cores when automatic."""
-    return requested_threads() or len(os.sched_getaffinity(0))
+    """Threads to use: BRAGGSIM_THREADS, or the usable cores when automatic
+    (all cores where the platform cannot say which are usable)."""
+    n = requested_threads()
+    if n:
+        return n
+    if hasattr(os, "sched_getaffinity"):      # Linux and some other Unixes
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -348,7 +348,7 @@ class BlochField:
     log_ratio: np.ndarray
     coef: np.ndarray
     segments: np.ndarray
-    lead_in: np.ndarray | None
+    lead_in: np.ndarray | None     # None saves a copy per gather
     lead_out: np.ndarray | None
     band_edge: np.ndarray
 

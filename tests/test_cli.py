@@ -406,7 +406,8 @@ def test_thread_count(monkeypatch, raw, expected):
 
     from braggsim import threads
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
-    cores = len(os.sched_getaffinity(0))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
     assert threads.thread_count() == (expected or cores)
 
 
@@ -416,6 +417,16 @@ def test_thread_count_invalid(monkeypatch, raw):
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
     with pytest.raises(ValueError, match="BRAGGSIM_THREADS"):
         threads.thread_count()
+
+
+def test_thread_count_without_affinity(monkeypatch):
+    # platforms without sched_getaffinity (macOS, Windows) count all cores
+    import os
+
+    from braggsim import threads
+    monkeypatch.delenv("BRAGGSIM_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert threads.thread_count() == (os.cpu_count() or 1)
 
 
 def test_design_does_not_import_concurrent_futures(tiny_config, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -261,45 +262,43 @@ class TestChunkedTable:
         for table in tables[1:]:
             np.testing.assert_array_equal(table, tables[0])
 
-    def test_error_in_a_helper_thread_propagates(self, monkeypatch):
-        # the main thread holds its first task until a helper thread has
-        # started one, which then fails
+    def test_error_in_a_worker_thread_propagates(self, monkeypatch):
+        # the second task fails on its worker thread; the error reaches the
+        # caller and no worker is left running
         monkeypatch.setenv("BRAGGSIM_THREADS", "2")
         real = fwm._bloch_chunk
-        helper_started = threading.Event()
+        calls, count = [], itertools.count(1)
 
-        def failing_off_main(*args):
-            if threading.current_thread() is threading.main_thread():
-                assert helper_started.wait(timeout=30)
-                return real(*args)
-            helper_started.set()
-            raise RuntimeError("failed in a helper thread")
+        def second_fails(*args):
+            calls.append(threading.current_thread())
+            if next(count) == 2:          # one C call, so no two tasks share a number
+                raise RuntimeError("failed in a worker thread")
+            return real(*args)
 
-        monkeypatch.setattr(fwm, "_bloch_chunk", failing_off_main)
+        monkeypatch.setattr(fwm, "_bloch_chunk", second_fails)
         before = threading.active_count()
         w1, w2 = exact_grids(97, 101)
-        with pytest.raises(RuntimeError, match="helper thread"):
+        with pytest.raises(RuntimeError, match="worker thread"):
             quantum._bw_overlap_table(REF, w1, w2)
+        assert threading.main_thread() not in calls
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("threads,items,helpers", [
-        ("1", 5, 0), ("3", 1, 0), ("3", 2, 1), ("3", 5, 2), ("0", 1, 0)])
-    def test_worker_threads(self, monkeypatch, threads, items, helpers):
-        # min(BRAGGSIM_THREADS, tasks) threads, the caller one of them, so a
-        # one-task call (a sweep up to _CHUNK points) starts no thread
+    @pytest.mark.parametrize("threads,tasks,workers", [
+        ("1", 5, 1), ("3", 1, 1), ("2", 2, 2), ("3", 5, 2), ("abc", 1, 1)])
+    def test_worker_count(self, monkeypatch, threads, tasks, workers):
+        # BRAGGSIM_THREADS, capped at the elements-in-flight budget and at the
+        # task count; a one-task call (a sweep up to _CHUNK points) runs on
+        # the calling thread without reading the setting
         monkeypatch.setenv("BRAGGSIM_THREADS", threads)
-        started = []
+        assert fwm._IN_FLIGHT // fwm._CHUNK == 2
+        assert fwm._workers(tasks) == workers
 
-        class Counting(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(fwm.threading, "Thread", Counting)
-        done = []
-        fwm._run_tasks(done.append, range(items))
-        assert sorted(done) == list(range(items))
-        assert len(started) == helpers
+    def test_automatic_worker_count_is_capped(self, monkeypatch):
+        # unset, the usable cores, but never more elements in flight than
+        # the budget, so memory does not grow with the host's core count
+        monkeypatch.delenv("BRAGGSIM_THREADS", raising=False)
+        monkeypatch.setattr(fwm, "thread_count", lambda: 64)
+        assert fwm._workers(100) * fwm._CHUNK == fwm._IN_FLIGHT
 
 
 # --------------------------------------------------------------------------
