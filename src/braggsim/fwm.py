@@ -133,7 +133,8 @@ def _mode_axis(x, axis: int):
 
 
 # elements per task of the Bloch kernel: its (elements x 16 mode combinations)
-# temporaries stay near 0.5 MB each however many elements are asked for
+# temporaries stay near 0.5 MB each however many elements are asked for; a
+# task is whole rows of the result, so a row wider than this is one task
 _CHUNK = 2048
 # elements in flight at once, whatever the thread count: the budget of the
 # serial kernel (one pass of 4096), which caps the kernel at two threads, the
@@ -141,30 +142,25 @@ _CHUNK = 2048
 _IN_FLIGHT = 4096
 
 
-def _bloch_overlap(spec: GratingSpec, fields, index=None) -> np.ndarray:
-    """J from the (pump, signal, idler) BlochField tables `fields`.
+def _bloch_overlap(spec: GratingSpec, fields) -> np.ndarray:
+    """J from the (pump, signal, idler) BlochField tables `fields`, whose
+    leading shapes are each the result's shape; a product grid passes views
+    (broadcast or windowed), so it needs no copy of its own size.
 
-    `index` is a matching triple of integer arrays that broadcast together
-    to the result's shape and gather the three fields for each element, so
-    that a product grid needs no index array of its own size; None pairs the
-    tables element by element. The elements are split into tasks of _CHUNK,
-    run on _workers() threads; each task gathers and writes only its own
-    slice of the result, so J does not depend on the thread count.
+    The rows along the first axis are split into tasks of _CHUNK elements
+    (at least one row), run on _workers() threads; each task takes views of
+    its rows and writes only those rows of the result, so J does not depend
+    on the thread count.
     """
-    shape = fields[0].omega.shape if index is None else np.broadcast_shapes(
-        *(np.shape(i) for i in index))
-    out = np.empty(math.prod(shape), dtype=complex)
+    shape = fields[0].omega.shape
+    out = np.empty(shape, dtype=complex)
+    rows = max(1, _CHUNK // math.prod(shape[1:]))
 
     def task(lo):
-        part = slice(lo, lo + _CHUNK)
-        if index is None:
-            picks = (part,) * 3
-        else:
-            at = np.unravel_index(np.arange(lo, min(lo + _CHUNK, out.size)), shape)
-            picks = (np.broadcast_to(i, shape)[at] for i in index)
-        out[part] = _bloch_chunk(spec, *(f.take(p) for f, p in zip(fields, picks)))
+        part = slice(lo, lo + rows)
+        out[part] = _bloch_chunk(spec, *(f.take(part) for f in fields))
 
-    starts = range(0, out.size, _CHUNK)
+    starts = range(0, shape[0], rows)
     workers = _workers(len(starts))
     if workers == 1:
         for lo in starts:
@@ -175,7 +171,7 @@ def _bloch_overlap(spec: GratingSpec, fields, index=None) -> np.ndarray:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(task, starts))
-    return out.reshape(shape)
+    return out
 
 
 def _workers(tasks: int) -> int:
@@ -186,7 +182,7 @@ def _workers(tasks: int) -> int:
 
 def _bloch_chunk(spec: GratingSpec, fp: BlochField, fs: BlochField,
                  fi: BlochField) -> np.ndarray:
-    """J from Bloch-mode fields gathered element-wise (equal leading shapes).
+    """J from Bloch-mode fields paired element-wise (equal leading shapes).
 
     Each of the 16 (pump, pump, signal*, idler) mode combinations is a
     geometric series over the N periods times one per-period weight; the
@@ -257,11 +253,16 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
     omega_i = np.atleast_1d(np.asarray(omega_i, dtype=float))
     if not omega_p.shape == omega_s.shape == omega_i.shape:
         raise InvalidArgument("frequency arrays must have matching shapes")
+    return _bloch_overlap(spec, _field_tables(spec, omega_p, omega_s, omega_i))
+
+
+def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
+    """The (pump, signal, idler) BlochField tables, each frequency checked
+    against the model domain; the idler is launched from the right facet."""
     for w, label in ((omega_p, "pump"), (omega_s, "signal"), (omega_i, "idler")):
         _check_domain(w, label)
-    fields = (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
-              _bloch_fields(spec, omega_i, "right"))
-    return _bloch_overlap(spec, fields)
+    return (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
+            _bloch_fields(spec, omega_i, "right"))
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, SPEED_OF_LIGHT as C0
 from .model import (
@@ -44,10 +45,10 @@ from .model import (
 from .fwm import (
     StimulatedResult,
     _bloch_overlap,
-    _check_domain,
+    _field_tables,
     overlap_elements,
 )
-from .transfer import _bloch_fields, design_periods
+from .transfer import design_periods
 
 __all__ = [
     "SpontRate",
@@ -188,7 +189,8 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
 
     The two grids must share their spacing: the midpoints then live on a
     single uniform grid of 2n-1 frequencies, so the structure fields are
-    solved once per distinct frequency and gathered onto the grid by index.
+    solved once per distinct frequency and viewed onto the grid without a
+    copy: element (r, c) reads the pump at midpoint r + c.
     """
     d1 = w1[1] - w1[0]
     d2 = w2[1] - w2[0]
@@ -196,13 +198,11 @@ def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.n
         raise InvalidArgument("signal and idler grids must share their spacing")
     n1, n2 = w1.size, w2.size
     mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
-    for w, label in ((mids, "pump"), (w1, "signal"), (w2, "idler")):
-        _check_domain(w, label)
-
-    rows, cols = np.arange(n1)[:, None], np.arange(n2)
-    fields = (_bloch_fields(spec, mids, "left"), _bloch_fields(spec, w1, "left"),
-              _bloch_fields(spec, w2, "right"))
-    return _bloch_overlap(spec, fields, (rows + cols, rows, cols))
+    pump, signal, idler = _field_tables(spec, mids, w1, w2)
+    fields = (pump.map(lambda v: np.moveaxis(sliding_window_view(v, n2, axis=0), -1, 1)),
+              signal.map(lambda v: np.broadcast_to(v[:, None], (n1, n2) + v.shape[1:])),
+              idler.map(lambda v: np.broadcast_to(v, (n1,) + v.shape)))
+    return _bloch_overlap(spec, fields)
 
 
 def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,

@@ -336,10 +336,8 @@ class BlochField:
     - coef:       (..., 2)
     - segments:   (..., 2, 2, 2)  each mode's amplitudes at the left edge of
                                   each segment of a period
-    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in);
-                                  None without a lead-in
-    - lead_out:   (..., 2)        amplitudes at the grating's right end; None
-                                  without a lead-out
+    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in)
+    - lead_out:   (..., 2)        amplitudes at the grating's right end
     - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
     """
 
@@ -348,16 +346,18 @@ class BlochField:
     log_ratio: np.ndarray
     coef: np.ndarray
     segments: np.ndarray
-    lead_in: np.ndarray | None     # None saves a copy per gather
-    lead_out: np.ndarray | None
+    lead_in: np.ndarray
+    lead_out: np.ndarray
     band_edge: np.ndarray
 
+    def map(self, fn) -> "BlochField":
+        """The fields with `fn` applied to every array; `fn` acts on the
+        leading (frequency) axes and keeps the trailing ones."""
+        return BlochField(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
+
     def take(self, index) -> "BlochField":
-        """The fields at frequency indices `index`: an integer array of any
-        shape (a copy) or a slice (views, no copy)."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return BlochField(**{name: None if v is None else v[index]
-                             for name, v in values.items()})
+        """The fields at frequency index `index` of the leading axes."""
+        return self.map(lambda v: v[index])
 
 
 def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
@@ -440,6 +440,5 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     ], axis=-1)
     return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
                       log_ratio=log_ratio, coef=coef, segments=segments,
-                      lead_in=facet_l if spec.lead_in_length > 0 else None,
-                      lead_out=exit_ if spec.lead_out_length > 0 else None,
+                      lead_in=facet_l, lead_out=exit_,
                       band_edge=band_edge)

@@ -175,7 +175,7 @@ class TestWaveguideState:
 
 
 # --------------------------------------------------------------------------
-# overlap table evaluated in fixed-size chunks
+# overlap table evaluated in tasks of whole rows
 
 
 def exact_grids(n1, n2):
@@ -187,11 +187,26 @@ def exact_grids(n1, n2):
     return start1 + step * np.arange(n1), start2 + step * np.arange(n2)
 
 
-def three_chunk_grids():
-    """exact_grids of 101 idler points and as many signal rows as make two
-    and a half fwm._CHUNK elements: two full chunks and a partial third."""
+def task_rows(n2):
+    """Rows of the table per task of the Bloch kernel for n2 idler points."""
+    return max(1, fwm._CHUNK // n2)
+
+
+def three_task_grids():
+    """exact_grids of 101 idler points and two and a half tasks of rows:
+    two full tasks and a partial third."""
     n2 = 101
-    return exact_grids(5 * fwm._CHUNK // 2 // n2, n2)
+    return exact_grids(5 * task_rows(n2) // 2, n2)
+
+
+def pieces_of_elements(spec, w1, w2, size):
+    """overlap_elements over the flattened product grid in pieces of `size`
+    elements, which need not line up with the table's tasks."""
+    s1, s2 = np.meshgrid(w1, w2, indexing="ij")
+    args = (((s1 + s2) / 2.0).ravel(), s1.ravel(), s2.ravel())
+    pieces = [fwm.overlap_elements(spec, *(a[i:i + size] for a in args))
+              for i in range(0, s1.size, size)]
+    return np.concatenate(pieces).reshape(s1.shape)
 
 
 class TestChunkedTable:
@@ -209,25 +224,48 @@ class TestChunkedTable:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_reference_table_memory_without_index_arrays(self):
+        # the fields reach the kernel as views, so beyond the 2.6 MB result
+        # and the per-frequency field tables the 401^2 table holds only the
+        # tasks in flight (10.4 MB measured at 2 threads)
+        w1 = SIGNAL_WIN.grid(401).points
+        w2 = IDLER_WIN.grid(401).points
+        tracemalloc.start()
+        try:
+            quantum._bw_overlap_table(REF, w1, w2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     def test_table_over_three_chunks_equals_elements(self):
-        w1, w2 = three_chunk_grids()
+        w1, w2 = three_task_grids()
         table = quantum._bw_overlap_table(REF, w1, w2)
-        # two full chunks and a partial third one
+        # two full tasks and a partial third one
+        assert 2 * task_rows(w2.size) < w1.size < 3 * task_rows(w2.size)
         assert 2 * fwm._CHUNK < table.size < 3 * fwm._CHUNK
-        s1, s2 = np.meshgrid(w1, w2, indexing="ij")
-        args = (((s1 + s2) / 2.0).ravel(), s1.ravel(), s2.ravel())
-        # pieces smaller than one chunk, not aligned with the table's chunks
-        pieces = [fwm.overlap_elements(REF, *(a[i:i + 1000] for a in args))
-                  for i in range(0, s1.size, 1000)]
-        np.testing.assert_array_equal(table.ravel(), np.concatenate(pieces))
+        # pieces smaller than one task, not aligned with the table's tasks
+        np.testing.assert_array_equal(table, pieces_of_elements(REF, w1, w2, 1000))
+
+    @pytest.mark.parametrize("spec,n1,n2", [
+        # each row exceeds _CHUNK elements, so each is a task of its own
+        (REF, 3, fwm._CHUNK + 53),
+        # the lead amplitudes reach the kernel through the same views
+        (replace(REF, lead_in_length=7e-6, lead_out_length=3e-6), 61, 61),
+    ], ids=["rows-wider-than-a-task", "leads"])
+    def test_table_equals_elements(self, spec, n1, n2):
+        w1, w2 = exact_grids(n1, n2)
+        table = quantum._bw_overlap_table(spec, w1, w2)
+        np.testing.assert_array_equal(table, pieces_of_elements(spec, w1, w2, 1000))
 
     @pytest.mark.filterwarnings("error")
     def test_band_edge_row_in_a_later_chunk(self, monkeypatch):
-        # q == 0 forced at one signal frequency whose row of the table lies
-        # wholly inside the second chunk
-        w1, w2 = three_chunk_grids()
-        row = -(-fwm._CHUNK // w2.size)     # the first row to start in chunk 2
-        assert fwm._CHUNK <= row * w2.size < (row + 1) * w2.size <= 2 * fwm._CHUNK
+        # q == 0 forced at one signal frequency whose row of the table is the
+        # first row of the second task
+        w1, w2 = three_task_grids()
+        rows = task_rows(w2.size)
+        row = rows                          # the first row of task 2
+        assert rows <= row < 2 * rows <= w1.size
         clean = quantum._bw_overlap_table(REF, w1, w2)
         exact, segment_sum = transfer._bloch_cosine, fwm._overlap_segment_sum
         calls = []
@@ -287,8 +325,9 @@ class TestChunkedTable:
         ("1", 5, 1), ("3", 1, 1), ("2", 2, 2), ("3", 5, 2), ("abc", 1, 1)])
     def test_worker_count(self, monkeypatch, threads, tasks, workers):
         # BRAGGSIM_THREADS, capped at the elements-in-flight budget and at the
-        # task count; a one-task call (a sweep up to _CHUNK points) runs on
-        # the calling thread without reading the setting
+        # task count; a one-task call (a sweep up to _CHUNK points, or a
+        # table of up to _CHUNK // n2 rows) runs on the calling thread
+        # without reading the setting
         monkeypatch.setenv("BRAGGSIM_THREADS", threads)
         assert fwm._IN_FLIGHT // fwm._CHUNK == 2
         assert fwm._workers(tasks) == workers
