@@ -234,6 +234,13 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("contrast_sweep.contrasts: expected a nonempty list of finite numbers")
 
     jsd = _section(raw, "jsd", required=False) or {}
+    jsd_points = _get(jsd, "jsd", "points", int, required=False, default=201)
+    if jsd_points < 2:
+        raise ConfigError("jsd.points: must be >= 2")
+    ring_span = _get(jsd, "jsd", "ring_span_linewidths", float, required=False,
+                     default=6.0)
+    if ring_span <= 0:
+        raise ConfigError("jsd.ring_span_linewidths: must be > 0")
     return ScenarioConfig(
         grating=grating,
         ring=ring,
@@ -248,9 +255,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         target_rejection_db=_get(cs, "contrast_sweep", "target_rejection_db", float),
         compare_rejection_db=_get(cs, "contrast_sweep", "compare_rejection_db", float,
                                   required=False, nullable=True),
-        jsd_points=_get(jsd, "jsd", "points", int, required=False, default=201),
-        ring_span_linewidths=_get(jsd, "jsd", "ring_span_linewidths", float,
-                                  required=False, default=6.0),
+        jsd_points=jsd_points,
+        ring_span_linewidths=ring_span,
     )
 
 
@@ -595,6 +601,8 @@ def run_scenario(args) -> int:
     cfg = build_scenario(load_config_dict(config_path))
     if args.points is not None and args.points < 2:
         raise ConfigError("--points: must be >= 2")
+    if args.rejection_db is not None and not math.isfinite(args.rejection_db):
+        raise ConfigError(f"--rejection-db: must be a finite number, got {args.rejection_db}")
 
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
     out = _Out(out_dir, force=args.force, quiet=args.quiet)

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, SPEED_OF_LIGHT as C0
 from .model import (
@@ -40,6 +41,7 @@ __all__ = [
     "idler_wavelength",
     "segment_exp_integral",
     "overlap_elements",
+    "overlap_table",
     "StimulatedResult",
     "stimulated_idler",
     "pump_sweep",
@@ -263,6 +265,28 @@ def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
         _check_domain(w, label)
     return (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
             _bloch_fields(spec, omega_i, "right"))
+
+
+def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """J evaluated on the product grid with both pump photons at the
+    energy-conserving midpoint (w1 + w2)/2.
+
+    The two grids must share their spacing: the midpoints then live on a
+    single uniform grid of 2n-1 frequencies, so the structure fields are
+    solved once per distinct frequency and viewed onto the grid without a
+    copy: element (r, c) reads the pump at midpoint r + c.
+    """
+    d1 = w1[1] - w1[0]
+    d2 = w2[1] - w2[0]
+    if abs(d1 - d2) > 1e-9 * abs(d1):
+        raise InvalidArgument("signal and idler grids must share their spacing")
+    n1, n2 = w1.size, w2.size
+    mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
+    pump, signal, idler = _field_tables(spec, mids, w1, w2)
+    fields = (pump.map(lambda v: np.moveaxis(sliding_window_view(v, n2, axis=0), -1, 1)),
+              signal.map(lambda v: np.broadcast_to(v[:, None], (n1, n2) + v.shape[1:])),
+              idler.map(lambda v: np.broadcast_to(v, (n1,) + v.shape)))
+    return _bloch_overlap(spec, fields)
 
 
 # --------------------------------------------------------------------------

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, SPEED_OF_LIGHT as C0
 from .model import (
@@ -42,12 +41,7 @@ from .model import (
     grid_around_omega,
     pump_spectral_amplitude,
 )
-from .fwm import (
-    StimulatedResult,
-    _bloch_overlap,
-    _field_tables,
-    overlap_elements,
-)
+from .fwm import StimulatedResult, overlap_elements, overlap_table
 from .transfer import design_periods
 
 __all__ = [
@@ -120,96 +114,47 @@ def spont_from_stim(stim: StimulatedResult, signal_power: float,
 class TwoPhotonState:
     """Discretized first-order two-photon state on a signal x idler grid.
 
-    jsd is the normalized joint spectral density (integrates to 1 over the
-    grids); amplitude keeps the unnormalized complex samples of phi so the
-    Schmidt decomposition can use the phase. A zero state (no nonlinearity)
-    carries is_zero=True and skips the normalization invariant.
+    amplitude holds the unnormalized complex samples of phi, which the
+    Schmidt decomposition reads with their phase; beta_sq and the joint
+    spectral density jsd (normalized to 1 over the grids) are derived from
+    it. An all-zero amplitude (no nonlinearity) gives is_zero, beta_sq = 0
+    and an all-zero jsd.
     """
 
-    beta_sq: float
-    jsd: np.ndarray
+    amplitude: np.ndarray
     signal_grid: FrequencyGrid
     idler_grid: FrequencyGrid
-    amplitude: np.ndarray | None = None
-    is_zero: bool = False
+    beta_sq: float = field(init=False)
+    jsd: np.ndarray = field(init=False)
+    is_zero: bool = field(init=False)
 
     def __post_init__(self):
-        jsd = np.asarray(self.jsd, dtype=float)
+        amp = np.asarray(self.amplitude, dtype=complex)
+        amp.flags.writeable = False
+        object.__setattr__(self, "amplitude", amp)
+        if amp.shape != (self.signal_grid.n_points, self.idler_grid.n_points):
+            raise InvalidArgument("amplitude shape does not match the grids")
+        d1, d2 = self.signal_grid.spacing, self.idler_grid.spacing
+        power = np.abs(amp) ** 2
+        total = float(np.sum(power))
+        if total == 0.0:
+            beta_sq, jsd = 0.0, np.zeros_like(power)
+        else:
+            beta_sq = total * d1 * d2 / (2.0 * math.pi) ** 2
+            jsd = power / (total * d1 * d2)
         jsd.flags.writeable = False
+        object.__setattr__(self, "beta_sq", beta_sq)
         object.__setattr__(self, "jsd", jsd)
-        if self.amplitude is not None:
-            amp = np.asarray(self.amplitude, dtype=complex)
-            amp.flags.writeable = False
-            object.__setattr__(self, "amplitude", amp)
-        expected = (self.signal_grid.n_points, self.idler_grid.n_points)
-        if jsd.shape != expected:
-            raise InvalidArgument("jsd shape does not match the grids")
-        if np.any(jsd < 0):
-            raise InvalidArgument("jsd must be nonnegative")
-        if self.beta_sq < 0:
-            raise InvalidArgument("beta_sq must be >= 0")
-        if self.beta_sq >= _BETA_SQ_LIMIT:
+        object.__setattr__(self, "is_zero", total == 0.0)
+        if beta_sq >= _BETA_SQ_LIMIT:
             raise InvalidArgument(
                 "pair probability per pulse too large for first-order theory "
-                f"({self.beta_sq:.3g} >= {_BETA_SQ_LIMIT:g})")
-        if not self.is_zero:
-            total = float(np.sum(jsd)) * self.signal_grid.spacing * self.idler_grid.spacing
-            if abs(total - 1.0) > 1e-6:
-                raise InvalidArgument("jsd is not normalized to 1 over the grids")
-
-
-def _assemble_state(phi: np.ndarray, signal_grid: FrequencyGrid,
-                    idler_grid: FrequencyGrid) -> TwoPhotonState:
-    d1, d2 = signal_grid.spacing, idler_grid.spacing
-    power = np.abs(phi) ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return TwoPhotonState(
-            beta_sq=0.0, jsd=np.zeros_like(power), signal_grid=signal_grid,
-            idler_grid=idler_grid, amplitude=None, is_zero=True)
-    beta_sq = total * d1 * d2 / (2.0 * math.pi) ** 2
-    jsd = power / (total * d1 * d2)
-    return TwoPhotonState(beta_sq=beta_sq, jsd=jsd, signal_grid=signal_grid,
-                          idler_grid=idler_grid, amplitude=phi)
-
-
-def _require_window_grid(grid: FrequencyGrid, window: CollectionWindow,
-                         label: str) -> None:
-    """The quadrature grid must span exactly the collection window."""
-    lo = window.center_omega - window.width / 2.0
-    hi = window.center_omega + window.width / 2.0
-    tol = grid.spacing
-    if abs(grid.points[0] - lo) > tol or abs(grid.points[-1] - hi) > tol:
-        raise InvalidArgument(f"{label} grid does not match its collection window")
-
-
-def _bw_overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """J evaluated on the product grid with both pump photons at the
-    energy-conserving midpoint (w1 + w2)/2.
-
-    The two grids must share their spacing: the midpoints then live on a
-    single uniform grid of 2n-1 frequencies, so the structure fields are
-    solved once per distinct frequency and viewed onto the grid without a
-    copy: element (r, c) reads the pump at midpoint r + c.
-    """
-    d1 = w1[1] - w1[0]
-    d2 = w2[1] - w2[0]
-    if abs(d1 - d2) > 1e-9 * abs(d1):
-        raise InvalidArgument("signal and idler grids must share their spacing")
-    n1, n2 = w1.size, w2.size
-    mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
-    pump, signal, idler = _field_tables(spec, mids, w1, w2)
-    fields = (pump.map(lambda v: np.moveaxis(sliding_window_view(v, n2, axis=0), -1, 1)),
-              signal.map(lambda v: np.broadcast_to(v[:, None], (n1, n2) + v.shape[1:])),
-              idler.map(lambda v: np.broadcast_to(v, (n1,) + v.shape)))
-    return _bloch_overlap(spec, fields)
+                f"({beta_sq:.3g} >= {_BETA_SQ_LIMIT:g})")
 
 
 def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
                         pulse: PumpPulse, signal_window: CollectionWindow,
                         idler_window: CollectionWindow,
-                        signal_grid: FrequencyGrid | None = None,
-                        idler_grid: FrequencyGrid | None = None,
                         n_points: int = 201) -> TwoPhotonState:
     """First-order two-photon state of the corrugated waveguide.
 
@@ -219,12 +164,8 @@ def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
     energy-conserving midpoint of (w1, w2), and the squared-envelope spectrum
     G carries the detuning dependence.
     """
-    if signal_grid is None:
-        signal_grid = signal_window.grid(n_points)
-    if idler_grid is None:
-        idler_grid = idler_window.grid(n_points)
-    _require_window_grid(signal_grid, signal_window, "signal")
-    _require_window_grid(idler_grid, idler_window, "idler")
+    signal_grid = signal_window.grid(n_points)
+    idler_grid = idler_window.grid(n_points)
 
     w0 = pulse.center_omega
     stripe_miss = abs(2.0 * w0 - signal_window.center_omega - idler_window.center_omega)
@@ -241,12 +182,12 @@ def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
     w1 = signal_grid.points
     w2 = idler_grid.points
     if params.gamma == 0.0:
-        return _assemble_state(np.zeros((w1.size, w2.size), dtype=complex),
-                               signal_grid, idler_grid)
-    j_table = _bw_overlap_table(spec, w1, w2)
+        return TwoPhotonState(np.zeros((w1.size, w2.size), dtype=complex),
+                              signal_grid, idler_grid)
+    j_table = overlap_table(spec, w1, w2)
     g = pulse.envelope_squared_spectrum(w1[:, None] + w2[None, :] - 2.0 * w0)
     phi = math.sqrt(2.0 * math.pi) * params.gamma * HBAR * w0 * g * j_table
-    return _assemble_state(phi, signal_grid, idler_grid)
+    return TwoPhotonState(phi, signal_grid, idler_grid)
 
 
 def _lorentzian(delta, gamma_fwhm):
@@ -273,8 +214,6 @@ def _pump_pair_spectrum(pulse: PumpPulse, w_p0: float, g_p: float):
 
 def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
                           pulse: PumpPulse,
-                          signal_grid: FrequencyGrid | None = None,
-                          idler_grid: FrequencyGrid | None = None,
                           n_points: int = 201,
                           span_linewidths: float = 6.0) -> TwoPhotonState:
     """First-order two-photon state of the side-coupled microring.
@@ -297,15 +236,13 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
         warnings.warn("resonance triplet violates energy conservation by more "
                       f"than 10 linewidths ({mismatch / g_p:.1f})", stacklevel=2)
 
-    if signal_grid is None:
-        signal_grid = grid_around_omega(w_s0, 2.0 * span_linewidths * g_s, n_points)
-    if idler_grid is None:
-        idler_grid = grid_around_omega(w_i0, 2.0 * span_linewidths * g_i, n_points)
+    signal_grid = grid_around_omega(w_s0, 2.0 * span_linewidths * g_s, n_points)
+    idler_grid = grid_around_omega(w_i0, 2.0 * span_linewidths * g_i, n_points)
     w1 = signal_grid.points
     w2 = idler_grid.points
     if params.gamma == 0.0:
-        return _assemble_state(np.zeros((w1.size, w2.size), dtype=complex),
-                               signal_grid, idler_grid)
+        return TwoPhotonState(np.zeros((w1.size, w2.size), dtype=complex),
+                              signal_grid, idler_grid)
 
     sums, h_table = _pump_pair_spectrum(pulse, w_p0, g_p)
     s_grid = w1[:, None] + w2[None, :]
@@ -317,7 +254,7 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
            * ring.circumference * enhancement ** 2 * h
            * np.conj(_lorentzian(w1 - w_s0, g_s))[:, None]
            * np.conj(_lorentzian(w2 - w_i0, g_i))[None, :])
-    return _assemble_state(phi, signal_grid, idler_grid)
+    return TwoPhotonState(phi, signal_grid, idler_grid)
 
 
 # --------------------------------------------------------------------------
@@ -326,17 +263,11 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
 
 @dataclass(frozen=True)
 class SchmidtReport:
-    """Schmidt spectrum of a two-photon state.
-
-    amplitude_based is False when only the density was available: the
-    decomposition of sqrt(JSD) ignores phase and its purity is only an
-    upper-bound surrogate for the true value.
-    """
+    """Schmidt spectrum of a two-photon state."""
 
     schmidt_coefficients: np.ndarray   # descending, squares sum to 1
     purity: float
     schmidt_number: float
-    amplitude_based: bool
 
     def __post_init__(self):
         lam = np.asarray(self.schmidt_coefficients, dtype=float)
@@ -358,23 +289,13 @@ def schmidt_analysis(state: TwoPhotonState) -> SchmidtReport:
     """
     if state.is_zero:
         raise InvalidArgument("cannot decompose an all-zero state")
-    if state.amplitude is not None:
-        matrix = state.amplitude
-        amplitude_based = True
-    else:
-        matrix = np.sqrt(state.jsd)
-        amplitude_based = False
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    norm = float(np.sum(sv ** 2))
-    if norm == 0.0:
-        raise InvalidArgument("cannot decompose an all-zero state")
-    lam = sv / math.sqrt(norm)
+    sv = np.linalg.svd(state.amplitude, compute_uv=False)
+    lam = sv / math.sqrt(float(np.sum(sv ** 2)))
     purity = float(np.sum(lam ** 4))
     return SchmidtReport(
         schmidt_coefficients=lam,
         purity=purity,
         schmidt_number=1.0 / purity,
-        amplitude_based=amplitude_based,
     )
 
 
@@ -398,7 +319,7 @@ def _profile_fwhm(centers: np.ndarray, profile: np.ndarray) -> float:
     return float(right - left)
 
 
-def ridge_width_ratio(state: TwoPhotonState, n_bins: int | None = None) -> float:
+def ridge_width_ratio(state: TwoPhotonState) -> float:
     """FWHM across the anti-diagonal ridge divided by FWHM along it.
 
     The density is resampled onto rotated coordinates u = (d1 + d2)/sqrt(2)
@@ -410,8 +331,6 @@ def ridge_width_ratio(state: TwoPhotonState, n_bins: int | None = None) -> float
         raise InvalidArgument("ridge width undefined for an all-zero state")
     w1 = state.signal_grid.points
     w2 = state.idler_grid.points
-    if n_bins is None:
-        n_bins = w1.size
     d1 = w1 - 0.5 * (w1[0] + w1[-1])
     d2 = w2 - 0.5 * (w2[0] + w2[-1])
     u = (d1[:, None] + d2[None, :]) / math.sqrt(2.0)
@@ -419,7 +338,7 @@ def ridge_width_ratio(state: TwoPhotonState, n_bins: int | None = None) -> float
     weights = state.jsd.ravel()
     widths = []
     for coord in (u, v):
-        hist, edges = np.histogram(coord.ravel(), bins=n_bins, weights=weights)
+        hist, edges = np.histogram(coord.ravel(), bins=w1.size, weights=weights)
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths.append(_profile_fwhm(centers, hist))
     return widths[0] / widths[1]

@@ -245,6 +245,8 @@ def design_periods(target_rejection_db: float, n_lo: float, delta_n: float) -> i
     """
     if n_lo <= 0 or delta_n <= 0:
         raise InvalidArgument("n_lo and delta_n must be > 0")
+    if not math.isfinite(target_rejection_db):
+        raise InvalidArgument("target rejection must be finite")
     floor_db = 10.0 * math.log10(4.0)
     if target_rejection_db <= floor_db:
         raise OutOfDomain(

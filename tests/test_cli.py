@@ -150,6 +150,20 @@ def test_jsd_signal_outside_model_domain(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("points", 1), ("points", 0), ("points", -3),
+                                       ("ring_span_linewidths", 0.0),
+                                       ("ring_span_linewidths", -2.0)])
+def test_jsd_grid_fields_are_config_errors(tmp_path, capsys, key, value):
+    def edit(raw):
+        raw.setdefault("jsd", {})[key] = value
+
+    out = tmp_path / "o"
+    assert run("jsd", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: jsd.{key}:")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("section,key", [("nonlinear", "gamma_per_w_m"),
                                          ("pulse", "peak_power_mw")])
@@ -227,6 +241,16 @@ def test_design_rejection_flag_domain_error(tiny_config, tmp_path, capsys):
     assert run("design", "--config", str(tiny_config), "--out", str(out),
                "--rejection-db", "3") == 3
     assert "domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_design_rejection_flag_must_be_finite(tiny_config, tmp_path, capsys, value):
+    out = tmp_path / "design"
+    assert run("design", "--config", str(tiny_config), "--out", str(out),
+               "--rejection-db", value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --rejection-db:")
+    assert not out.exists()
 
 
 def test_stim_sweep_csv_and_determinism(tiny_config, tmp_path):

@@ -111,7 +111,7 @@ class TestWaveguideState:
     def test_overlap_table_matches_segment_sum(self):
         grid1 = SIGNAL_WIN.grid(21)
         grid2 = IDLER_WIN.grid(21)
-        table = quantum._bw_overlap_table(REF, grid1.points, grid2.points)
+        table = fwm.overlap_table(REF, grid1.points, grid2.points)
         w1, w2 = np.meshgrid(grid1.points, grid2.points, indexing="ij")
         oracle = fwm._overlap_segment_sum(REF, ((w1 + w2) / 2.0).ravel(),
                                           w1.ravel(), w2.ravel())
@@ -218,7 +218,7 @@ class TestChunkedTable:
         w2 = IDLER_WIN.grid(401).points
         tracemalloc.start()
         try:
-            quantum._bw_overlap_table(REF, w1, w2)
+            fwm.overlap_table(REF, w1, w2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,7 +232,7 @@ class TestChunkedTable:
         w2 = IDLER_WIN.grid(401).points
         tracemalloc.start()
         try:
-            quantum._bw_overlap_table(REF, w1, w2)
+            fwm.overlap_table(REF, w1, w2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,7 +240,7 @@ class TestChunkedTable:
 
     def test_table_over_three_chunks_equals_elements(self):
         w1, w2 = three_task_grids()
-        table = quantum._bw_overlap_table(REF, w1, w2)
+        table = fwm.overlap_table(REF, w1, w2)
         # two full tasks and a partial third one
         assert 2 * task_rows(w2.size) < w1.size < 3 * task_rows(w2.size)
         assert 2 * fwm._CHUNK < table.size < 3 * fwm._CHUNK
@@ -255,7 +255,7 @@ class TestChunkedTable:
     ], ids=["rows-wider-than-a-task", "leads"])
     def test_table_equals_elements(self, spec, n1, n2):
         w1, w2 = exact_grids(n1, n2)
-        table = quantum._bw_overlap_table(spec, w1, w2)
+        table = fwm.overlap_table(spec, w1, w2)
         np.testing.assert_array_equal(table, pieces_of_elements(spec, w1, w2, 1000))
 
     @pytest.mark.filterwarnings("error")
@@ -266,7 +266,7 @@ class TestChunkedTable:
         rows = task_rows(w2.size)
         row = rows                          # the first row of task 2
         assert rows <= row < 2 * rows <= w1.size
-        clean = quantum._bw_overlap_table(REF, w1, w2)
+        clean = fwm.overlap_table(REF, w1, w2)
         exact, segment_sum = transfer._bloch_cosine, fwm._overlap_segment_sum
         calls = []
 
@@ -280,7 +280,7 @@ class TestChunkedTable:
 
         monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
         monkeypatch.setattr(fwm, "_overlap_segment_sum", recording)
-        table = quantum._bw_overlap_table(REF, w1, w2)
+        table = fwm.overlap_table(REF, w1, w2)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.full(w2.size, w1[row]))
         np.testing.assert_array_equal(
@@ -296,7 +296,7 @@ class TestChunkedTable:
         tables = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("BRAGGSIM_THREADS", threads)
-            tables.append(quantum._bw_overlap_table(REF, w1, w2))
+            tables.append(fwm.overlap_table(REF, w1, w2))
         for table in tables[1:]:
             np.testing.assert_array_equal(table, tables[0])
 
@@ -317,7 +317,7 @@ class TestChunkedTable:
         before = threading.active_count()
         w1, w2 = exact_grids(97, 101)
         with pytest.raises(RuntimeError, match="worker thread"):
-            quantum._bw_overlap_table(REF, w1, w2)
+            fwm.overlap_table(REF, w1, w2)
         assert threading.main_thread() not in calls
         assert threading.active_count() == before
 
@@ -349,7 +349,6 @@ class TestRingState:
         # frozen regression at the default 201-point grids
         assert ring_state.beta_sq == pytest.approx(7.43717459e-4, rel=1e-6)
         rep = quantum.schmidt_analysis(ring_state)
-        assert rep.amplitude_based
         assert rep.purity == pytest.approx(0.87639, abs=5e-4)
         assert quantum.principal_axis_ratio(ring_state) == pytest.approx(
             1.8137, abs=5e-3)
@@ -467,12 +466,12 @@ def test_pump_pair_spectrum_matches_direct_sum(pulse):
 # Schmidt decomposition on synthetic states
 
 
-def _state_from_amplitude(amp, grid1, grid2):
-    power = np.abs(amp) ** 2
-    total = float(np.sum(power)) * grid1.spacing * grid2.spacing
-    return quantum.TwoPhotonState(
-        beta_sq=1e-6, jsd=power / total, signal_grid=grid1, idler_grid=grid2,
-        amplitude=amp)
+def _state_from_amplitude(amp, grid1, grid2, beta_sq=1e-6):
+    """The state of amp scaled to the pair probability beta_sq; the Schmidt
+    spectrum and the normalized JSD do not depend on the scale."""
+    raw = float(np.sum(np.abs(amp) ** 2)) * grid1.spacing * grid2.spacing \
+        / (2 * math.pi) ** 2
+    return quantum.TwoPhotonState(amp * math.sqrt(beta_sq / raw), grid1, grid2)
 
 
 def _grids(n1=24, n2=24):
@@ -481,13 +480,40 @@ def _grids(n1=24, n2=24):
     return g1, g2
 
 
+class TestStateConstructor:
+    def test_beta_sq_and_jsd_from_the_amplitude(self):
+        rng = np.random.default_rng(3)
+        g1, g2 = _grids(24, 20)
+        amp = 1e-13 * (rng.normal(size=(24, 20)) + 1j * rng.normal(size=(24, 20)))
+        st = quantum.TwoPhotonState(amp, g1, g2)
+        d1, d2 = g1.spacing, g2.spacing
+        power = np.abs(amp) ** 2
+        assert st.beta_sq == pytest.approx(
+            np.sum(power) * d1 * d2 / (2 * math.pi) ** 2, rel=1e-12)
+        assert np.sum(st.jsd) * d1 * d2 == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(st.jsd, power / (np.sum(power) * d1 * d2),
+                                   rtol=1e-12)
+        assert not st.is_zero
+
+    def test_zero_amplitude_is_a_zero_state(self):
+        g1, g2 = _grids(12, 12)
+        st = quantum.TwoPhotonState(np.zeros((12, 12), dtype=complex), g1, g2)
+        assert st.is_zero and st.beta_sq == 0.0
+        assert st.jsd.shape == (12, 12) and not np.any(st.jsd)
+
+    @pytest.mark.parametrize("shape", [(12, 11), (11, 12), (144,)])
+    def test_amplitude_shape_must_match_the_grids(self, shape):
+        g1, g2 = _grids(12, 12)
+        with pytest.raises(model.InvalidArgument, match="shape"):
+            quantum.TwoPhotonState(np.ones(shape, dtype=complex), g1, g2)
+
+
 def test_schmidt_rank_one_state():
     rng = np.random.default_rng(7)
     g1, g2 = _grids()
     a = rng.normal(size=24) + 1j * rng.normal(size=24)
     b = rng.normal(size=24) + 1j * rng.normal(size=24)
     rep = quantum.schmidt_analysis(_state_from_amplitude(np.outer(a, b), g1, g2))
-    assert rep.amplitude_based
     assert rep.purity == pytest.approx(1.0, abs=1e-9)
     assert rep.schmidt_number == pytest.approx(1.0, abs=1e-9)
     assert rep.schmidt_coefficients[0] == pytest.approx(1.0, abs=1e-9)
@@ -516,18 +542,6 @@ def test_schmidt_exchange_invariance():
     assert a.purity == pytest.approx(b.purity, rel=1e-12)
 
 
-def test_schmidt_density_only_fallback():
-    g1, g2 = _grids()
-    p = np.abs(np.outer(np.hanning(24) + 0.1, np.hanning(24) + 0.1))
-    total = float(np.sum(p)) * g1.spacing * g2.spacing
-    st = quantum.TwoPhotonState(beta_sq=1e-6, jsd=p / total,
-                                signal_grid=g1, idler_grid=g2)
-    rep = quantum.schmidt_analysis(st)
-    assert not rep.amplitude_based
-    # the sqrt of a separable density is still separable
-    assert rep.purity == pytest.approx(1.0, abs=1e-9)
-
-
 # --------------------------------------------------------------------------
 # density-shape metrics on synthetic ridges
 
@@ -539,9 +553,7 @@ def _gaussian_ridge_state(sigma_u, sigma_v, n=121):
     u = (d1[:, None] + d2[None, :]) / math.sqrt(2)
     v = (d1[:, None] - d2[None, :]) / math.sqrt(2)
     p = np.exp(-u ** 2 / (2 * sigma_u ** 2) - v ** 2 / (2 * sigma_v ** 2))
-    total = float(np.sum(p)) * g1.spacing * g2.spacing
-    return quantum.TwoPhotonState(beta_sq=1e-6, jsd=p / total,
-                                  signal_grid=g1, idler_grid=g2)
+    return _state_from_amplitude(np.sqrt(p), g1, g2)
 
 
 def test_ridge_width_ratio_recovers_aspect():

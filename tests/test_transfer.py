@@ -227,6 +227,12 @@ def test_design_periods_domain():
         transfer.design_periods(20.0, 2.414, 0.0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_design_periods_rejects_a_non_finite_target(target):
+    with pytest.raises(model.InvalidArgument, match="finite"):
+        transfer.design_periods(target, 2.414, 3.4985e-3)
+
+
 # --------------------------------------------------------------------------
 # internal fields
 
