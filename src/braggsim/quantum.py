@@ -137,7 +137,8 @@ class TwoPhotonState:
         d1, d2 = self.signal_grid.spacing, self.idler_grid.spacing
         power = np.abs(amp) ** 2
         total = float(np.sum(power))
-        if total == 0.0:
+        is_zero = total == 0.0
+        if is_zero:
             beta_sq, jsd = 0.0, np.zeros_like(power)
         else:
             beta_sq = total * d1 * d2 / (2.0 * math.pi) ** 2
@@ -145,7 +146,7 @@ class TwoPhotonState:
         jsd.flags.writeable = False
         object.__setattr__(self, "beta_sq", beta_sq)
         object.__setattr__(self, "jsd", jsd)
-        object.__setattr__(self, "is_zero", total == 0.0)
+        object.__setattr__(self, "is_zero", is_zero)
         if beta_sq >= _BETA_SQ_LIMIT:
             raise InvalidArgument(
                 "pair probability per pulse too large for first-order theory "

@@ -466,12 +466,12 @@ def test_pump_pair_spectrum_matches_direct_sum(pulse):
 # Schmidt decomposition on synthetic states
 
 
-def _state_from_amplitude(amp, grid1, grid2, beta_sq=1e-6):
-    """The state of amp scaled to the pair probability beta_sq; the Schmidt
+def _state_from_amplitude(amp, grid1, grid2):
+    """The state of amp scaled to a pair probability of 1e-6; the Schmidt
     spectrum and the normalized JSD do not depend on the scale."""
     raw = float(np.sum(np.abs(amp) ** 2)) * grid1.spacing * grid2.spacing \
         / (2 * math.pi) ** 2
-    return quantum.TwoPhotonState(amp * math.sqrt(beta_sq / raw), grid1, grid2)
+    return quantum.TwoPhotonState(amp * math.sqrt(1e-6 / raw), grid1, grid2)
 
 
 def _grids(n1=24, n2=24):
