@@ -553,7 +553,7 @@ def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
 
 
 def _run_report(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
-    # --points sets only the spectrum grid; design uses the configured target
+    # --points sets only the spectrum grid
     for name in ("spectrum", "design", "stim-sweep", "spont-rate",
                  "contrast-sweep", "jsd"):
         _RUNNERS[name](cfg, out, fmt, points if name == "spectrum" else None, None)
@@ -592,11 +592,16 @@ def _parser() -> argparse.ArgumentParser:
                         help="overwrite existing output files")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--rejection-db", type=float, default=None,
-                        help="design target (design subcommand)")
+                        help="design target (design subcommand only)")
     return parser
 
 
 def run_scenario(args) -> int:
+    # the subcommands that read each optional flag; the others reject it
+    for flag, readers in (("points", ("spectrum", "stim-sweep", "jsd", "report")),
+                          ("rejection_db", ("design",))):
+        if getattr(args, flag) is not None and args.subcommand not in readers:
+            raise ConfigError(f"--{flag.replace('_', '-')}: not read by {args.subcommand}")
     config_path = Path(args.config) if args.config else bundled_config_path()
     cfg = build_scenario(load_config_dict(config_path))
     if args.points is not None and args.points < 2:

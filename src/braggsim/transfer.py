@@ -29,7 +29,6 @@ from .model import (
 
 __all__ = [
     "StopbandReport",
-    "layer_stack",
     "unit_cell_matrix",
     "structure_matrix",
     "transmission_spectrum",
@@ -90,25 +89,6 @@ def _matmul_power(m: np.ndarray, count: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # structures
-
-
-def layer_stack(spec: GratingSpec):
-    """(n_eff, length) tuples left to right, zero-length leads omitted.
-
-    Each period contributes its low-index segment (duty_cycle * period) then
-    its unperturbed segment; the leads share the unperturbed index.
-    """
-    layers = []
-    if spec.lead_in_length > 0:
-        layers.append((spec.n_hi, spec.lead_in_length))
-    d_lo = spec.duty_cycle * spec.period
-    d_hi = spec.period - d_lo
-    for _ in range(spec.n_periods):
-        layers.append((spec.n_lo, d_lo))
-        layers.append((spec.n_hi, d_hi))
-    if spec.lead_out_length > 0:
-        layers.append((spec.n_hi, spec.lead_out_length))
-    return tuple(layers)
 
 
 def unit_cell_matrix(spec: GratingSpec, omega) -> np.ndarray:
@@ -264,52 +244,73 @@ def design_periods(target_rejection_db: float, n_lo: float, delta_n: float) -> i
 # internal fields
 
 
-def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
-    """Per-segment (forward, backward) amplitudes at each segment's left edge.
+def _period_maps(spec: GratingSpec, omegas: np.ndarray):
+    """(k_lo, k_hi, into_lo, lo_to_hi, fwd): wavenumbers and forward maps of
+    one period. From the state entering a period, into_lo enters its
+    low-index segment, lo_to_hi crosses that segment and fwd the period."""
+    k_lo = wavenumber(spec.n_lo, omegas)
+    k_hi = wavenumber(spec.n_hi, omegas)
+    d_lo = spec.duty_cycle * spec.period
+    into_lo = _iface_stack(k_lo, k_hi)
+    lo_to_hi = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, -d_lo)
+    fwd = _prop_stack(k_hi, -(spec.period - d_lo)) @ lo_to_hi @ into_lo
+    return k_lo, k_hi, into_lo, lo_to_hi, fwd
 
-    side='left'  : unit amplitude incident from the left ambient.
-    side='right' : unit amplitude incident from the right ambient.
 
-    Returns (z_starts, lengths, n_effs, A, B) where A and B have shape
-    (n_segments, n_frequencies).
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    layers = layer_stack(spec)
-    n_effs = np.array([n for n, _ in layers])
-    lengths = np.array([l for _, l in layers])
-    z_starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
-
+def _facet_states(spec: GratingSpec, omegas: np.ndarray, side: str):
+    """Exact states of the field launched from `side` (see
+    _segment_amplitudes), from structure_matrix: (start, entry, exit_) at
+    z = 0, entering the grating and at the grating's right end."""
     m = structure_matrix(spec, omegas)
-    k_amb = wavenumber(spec.n_hi, omegas)
+    k_hi = wavenumber(spec.n_hi, omegas)
+    one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
     if side == "left":
-        v = np.stack([np.ones_like(omegas, dtype=complex),
-                      m[..., 1, 0] / m[..., 0, 0]])
+        start = np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1)
+        facet_r = np.stack([1.0 / m[..., 0, 0], zero], axis=-1)
     elif side == "right":
-        v = np.stack([np.zeros_like(omegas, dtype=complex),
-                      1.0 / m[..., 0, 0]])
+        start = np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1)
+        facet_r = np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1)
     else:
         raise InvalidArgument("side must be 'left' or 'right'")
+    entry = (_prop_stack(k_hi, -spec.lead_in_length) @ start[..., None])[..., 0]
+    exit_ = (_prop_stack(k_hi, spec.lead_out_length) @ facet_r[..., None])[..., 0]
+    return start, entry, exit_
 
-    A = np.empty((len(layers), omegas.size), dtype=complex)
-    B = np.empty_like(A)
-    n_prev = spec.n_hi
-    k_prev = k_amb
-    # cache interface matrices between the only index values that occur
-    iface_cache = {}
-    for j, (n_eff, length) in enumerate(layers):
-        k = wavenumber(n_eff, omegas)
-        key_in = (n_prev, n_eff)
-        if key_in not in iface_cache:
-            iface_cache[key_in] = _iface_stack(k, k_prev)
-        step = iface_cache[key_in]
-        v = np.stack([step[..., 0, 0] * v[0] + step[..., 0, 1] * v[1],
-                      step[..., 1, 0] * v[0] + step[..., 1, 1] * v[1]])
-        A[j] = v[0]
-        B[j] = v[1]
-        phase = np.exp(1j * k * length)
-        v = np.stack([v[0] * phase, v[1] / phase])
-        n_prev, k_prev = n_eff, k
-    return z_starts, lengths, n_effs, A, B
+
+def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
+    """Per-segment (forward, backward) amplitudes at each segment's left edge
+    of the field launched with unit amplitude from the `side` ('left' or
+    'right') ambient.
+
+    Returns (z_starts, lengths, n_effs, A, B) where A and B have shape
+    (n_segments, n_frequencies); segments run from the lead-in (if any)
+    through each period's low-index and unperturbed segments to the lead-out.
+
+    The states entering periods [m, 2m) are fwd^m times those entering
+    [0, m), from the exact entry state; the lead-out starts from the state
+    after period N, not the exact exit state, so it checks the recursion.
+    """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    _, _, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
+    start, entry, _ = _facet_states(spec, omegas, side)
+    n = spec.n_periods
+    states, power = entry[None], fwd            # power = fwd^len(states)
+    while len(states) <= n:
+        states = np.concatenate([states, (power @ states[..., None])[..., 0]])
+        power = power @ power
+    into_segments = np.stack([into_lo, lo_to_hi @ into_lo])
+    amps = (into_segments @ states[:n, None, ..., None])[..., 0]
+
+    d_lo = spec.duty_cycle * spec.period
+    parts = [(np.tile([spec.n_lo, spec.n_hi], n), np.tile([d_lo, spec.period - d_lo], n),
+              amps.reshape((2 * n,) + entry.shape))]
+    if spec.lead_in_length > 0:
+        parts.insert(0, ([spec.n_hi], [spec.lead_in_length], start[None]))
+    if spec.lead_out_length > 0:
+        parts.append(([spec.n_hi], [spec.lead_out_length], states[n:n + 1]))
+    n_effs, lengths, amps = (np.concatenate(p) for p in zip(*parts))
+    z_starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+    return z_starts, lengths, n_effs, amps[..., 0], amps[..., 1]
 
 
 # Below this q = 1 - |cos K Lambda| the two Bloch modes are too close to
@@ -385,15 +386,7 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     """Bloch-mode form of the field launched from `side` ('left' or 'right',
     unit amplitude from that ambient; see _segment_amplitudes)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    k_lo = wavenumber(spec.n_lo, omegas)
-    k_hi = wavenumber(spec.n_hi, omegas)
-    d_lo = spec.duty_cycle * spec.period
-    d_hi = spec.period - d_lo
-
-    # forward maps between the left edges of consecutive segments
-    into_lo = _iface_stack(k_lo, k_hi)
-    lo_to_hi = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, -d_lo)
-    fwd = _prop_stack(k_hi, -d_hi) @ lo_to_hi @ into_lo
+    k_lo, k_hi, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
 
     sign, q = _bloch_cosine(spec, omegas)
     root = np.sqrt(np.abs(q) / 2.0)
@@ -418,20 +411,7 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     segments = np.stack([lo, lo_to_hi @ lo], axis=-1)     # (..., fwd/bwd, mode, seg)
     segments = np.moveaxis(segments, -3, -1)              # (..., mode, seg, fwd/bwd)
 
-    # exact facet states: the grating's entry state from the left facet and
-    # its exit state from the right facet, moved across the leads
-    m = structure_matrix(spec, omegas)
-    one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
-    if side == "left":
-        facet_l = np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1)
-        facet_r = np.stack([1.0 / m[..., 0, 0], zero], axis=-1)
-    elif side == "right":
-        facet_l = np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1)
-        facet_r = np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1)
-    else:
-        raise InvalidArgument("side must be 'left' or 'right'")
-    entry = (_prop_stack(k_hi, -spec.lead_in_length) @ facet_l[..., None])[..., 0]
-    exit_ = (_prop_stack(k_hi, spec.lead_out_length) @ facet_r[..., None])[..., 0]
+    start, entry, exit_ = _facet_states(spec, omegas, side)
 
     band_edge = np.abs(q) < BAND_EDGE_Q
     det = modes[..., 0, 0] * modes[..., 1, 1] - modes[..., 1, 0] * modes[..., 0, 1]
@@ -442,5 +422,5 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     ], axis=-1)
     return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
                       log_ratio=log_ratio, coef=coef, segments=segments,
-                      lead_in=facet_l, lead_out=exit_,
+                      lead_in=start, lead_out=exit_,
                       band_edge=band_edge)

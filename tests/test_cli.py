@@ -497,6 +497,26 @@ def test_points_must_be_at_least_two(tiny_config, tmp_path, capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand,flag,value", [
+    ("report", "--rejection-db", "40"),
+    ("spectrum", "--rejection-db", "40"),
+    ("stim-sweep", "--rejection-db", "40"),
+    ("spont-rate", "--rejection-db", "40"),
+    ("contrast-sweep", "--rejection-db", "40"),
+    ("jsd", "--rejection-db", "40"),
+    ("design", "--points", "21"),
+    ("spont-rate", "--points", "21"),
+    ("contrast-sweep", "--points", "21"),
+])
+def test_flag_a_subcommand_does_not_read_is_config_error(tiny_config, tmp_path, capsys,
+                                                         subcommand, flag, value):
+    out = tmp_path / "out"
+    assert run(subcommand, "--config", str(tiny_config), "--out", str(out),
+               flag, value) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: not read by {subcommand}")
+    assert not out.exists()
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         run()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from braggsim import fwm, model, transfer
+from segment_reference import upper_band_edge
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
                         n_lo=2.414, delta_n=3.4985e-3)
@@ -288,21 +289,6 @@ class TestBlochOverlap:
         assert abs(value - expected) / abs(expected) < 1e-9
 
 
-def upper_band_edge(spec):
-    """Bisected frequency where the first-order stopband ends (q changes sign)."""
-    inside = model.omega_from_wavelength(spec.bragg_wavelength)
-    outside = inside * 1.01
-    while True:
-        mid = 0.5 * (inside + outside)
-        if mid in (inside, outside):
-            return outside
-        _, q = transfer._bloch_cosine(spec, np.array([mid]))
-        if q[0] < 0:
-            inside = mid
-        else:
-            outside = mid
-
-
 @pytest.fixture(scope="module")
 def band_edge():
     return upper_band_edge(REF)
@@ -320,6 +306,19 @@ class TestBandEdge:
         value = fwm.overlap_elements(REF, *args)
         rel = np.abs(value - oracle(REF, *args)) / np.abs(value)
         assert np.all(rel < 1e-9), dict(zip(offsets, rel))
+
+    def test_deep_grating_refuses_the_segment_sum(self, monkeypatch):
+        # with every element flagged, the pump at the Bragg centre takes the
+        # segment sum; it grows by e^2.9 across the reference and by e^34.8
+        # across 24000 periods, where the segment sum misses J by ~1e4
+        w_p = model.omega_from_wavelength(REF.bragg_wavelength)
+        args = ([w_p], [W_S], [2.0 * w_p - W_S])
+        closed_form = fwm.overlap_elements(REF, *args)
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        assert transfer._bloch_fields(REF, [w_p], "left").band_edge.all()
+        assert max_rel(fwm.overlap_elements(REF, *args), closed_form) < 1e-9
+        with pytest.raises(model.OutOfDomain, match="segment sum"):
+            fwm.overlap_elements(replace(REF, n_periods=24000), *args)
 
     @pytest.mark.filterwarnings("error")
     def test_exactly_degenerate_modes(self, band_edge, monkeypatch):

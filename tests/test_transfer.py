@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braggsim import model, transfer
+from segment_reference import reference_segment_amplitudes, upper_band_edge
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
                         n_lo=2.414, delta_n=3.4985e-3)
@@ -104,13 +105,17 @@ def test_bare_grating_equals_cell_power():
 
 
 def test_layer_stack_layout():
-    layers = transfer.layer_stack(REF)
+    def layout(spec):
+        _, lengths, n_effs, _, _ = transfer._segment_amplitudes(spec, [1.2e15], "left")
+        return list(zip(n_effs, lengths))
+
+    layers = layout(REF)
     assert len(layers) == 2 * REF.n_periods
     n0, l0 = layers[0]
     n1, l1 = layers[1]
     assert (n0, l0) == (REF.n_lo, pytest.approx(160e-9))
     assert (n1, l1) == (REF.n_hi, pytest.approx(160e-9))
-    with_leads = transfer.layer_stack(
+    with_leads = layout(
         model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=3,
                           n_lo=2.414, delta_n=3.4985e-3,
                           lead_in_length=2e-6, lead_out_length=1e-6))
@@ -260,6 +265,33 @@ def field_at(spec, omega, side, z):
     j = np.searchsorted(z0, z, side="right") - 1
     phase = np.exp(1j * transfer.wavenumber(n_effs[j], omega) * (z - z0[j]))
     return a[j] * phase + b[j] / phase
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("spec,omegas", [
+    (SMALL, model.omega_from_wavelength(np.array([1546.3e-9]))),
+    (REF, np.append(model.omega_from_wavelength(np.array([1541.0e-9, REF.bragg_wavelength])),
+                    upper_band_edge(REF))),
+], ids=["small-with-leads", "ref-out-centre-edge"])
+def test_segment_amplitudes_match_the_segment_loop(spec, omegas, side):
+    # summation order differs (powers of the period map against one segment
+    # at a time), so amplitudes agree to rounding, scaled per frequency by
+    # the field's largest amplitude
+    _, q = transfer._bloch_cosine(spec, omegas)
+    assert spec is SMALL or abs(q[-1]) < transfer.BAND_EDGE_Q
+    value = transfer._segment_amplitudes(spec, omegas, side)
+    reference = reference_segment_amplitudes(spec, omegas, side)
+    for got, want in zip(value[:3], reference[:3]):
+        np.testing.assert_array_equal(got, want)
+    scale = np.max(np.hypot(np.abs(reference[3]), np.abs(reference[4])), axis=0)
+    for got, want in zip(value[3:], reference[3:]):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / scale) < 1e-12
+
+
+def test_segment_amplitudes_reject_an_unknown_side():
+    with pytest.raises(model.InvalidArgument, match="side"):
+        transfer._segment_amplitudes(SMALL, [1.2e15], "up")
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
