@@ -185,7 +185,7 @@ def _workers(tasks: int) -> int:
 # Largest growth g = N * max Re(log_ratio) of a field for the segment sum, a
 # forward recursion: with the reference's pump at the Bragg centre its J
 # misses the closed form by 1.3e-11 at g = 17.4, 1.4e-10 at 18.8, 2.4e-9 at
-# 20.3 and 8e-7 at 23.2 (about e^2g), past the 1e-9 the kernel is held to.
+# 20.3 and 8e-7 at 23.2 (growing as e^2g), past the 1e-9 the kernel is held to.
 _SEGMENT_SUM_GROWTH = 19.0
 
 

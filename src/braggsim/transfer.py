@@ -288,7 +288,7 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
 
     The states entering periods [m, 2m) are fwd^m times those entering
     [0, m), from the exact entry state; the lead-out starts from the state
-    after period N, not the exact exit state, so it checks the recursion.
+    after period N, not the exact exit state, so tests of it check the recursion.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     _, _, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
