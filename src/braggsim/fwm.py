@@ -74,14 +74,24 @@ def _check_domain(omega, label: str) -> None:
 
 
 def segment_exp_integral(kappa, length):
-    """integral_0^length exp(i kappa u) du, stable for kappa -> 0.
+    """integral_0^length exp(i kappa u) du for real kappa, stable for kappa -> 0.
 
-    Written as length * exp(i kappa length / 2) * sinc(kappa length / (2 pi))
-    so the phase is explicit and the modulus never suffers cancellation.
+    Written as length * exp(i theta) * sin(theta) / theta with theta =
+    kappa * length / 2, from the real sine and cosine, so the phase is
+    explicit and the modulus never suffers cancellation.
     """
-    kappa = np.asarray(kappa)
-    return length * np.exp(0.5j * kappa * length) * np.sinc(
-        kappa * length / (2.0 * math.pi))
+    theta = 0.5 * np.asarray(kappa) * length
+    sin = np.sin(theta)
+    sinc = _sinc(theta, sin)
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.multiply(sinc, np.cos(theta), out=out.real)
+    np.multiply(sinc, sin, out=out.imag)
+    return length * out
+
+
+def _sinc(theta, sin):
+    """sin(theta) / theta from theta and its sine; 1 at theta = 0."""
+    return np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0)
 
 
 def _plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
@@ -113,30 +123,9 @@ def _wrap_phase(x):
     return x - 2j * math.pi * np.round(x.imag / (2.0 * math.pi))
 
 
-def _geometric_sum(rate, grow, n: int):
-    """sum_{m=0}^{n-1} exp(m * rate - n * grow), for Re(rate - grow) <= 0
-    and Re(grow) >= 0 so that no intermediate exceeds 1 in modulus."""
-    rate = _wrap_phase(rate)
-    grow = _wrap_phase(grow)
-    scaled = np.exp(-n * grow)
-    near = np.abs(n * rate) < 1.0      # difference form would cancel here
-    out = (np.exp(n * (rate - grow)) - scaled) / np.expm1(np.where(near, 1.0, rate))
-    r = rate[near]
-    r_safe = np.where(r == 0, 1.0, r)
-    out[near] = scaled[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
-    return out
-
-
-def _mode_axis(x, axis: int):
-    """Move the trailing mode axis of x to `axis` of four combination axes."""
-    shape = [1, 1, 1, 1]
-    shape[axis] = 2
-    return x.reshape(x.shape[:-1] + tuple(shape))
-
-
-# elements per task of the Bloch kernel: its (elements x 16 mode combinations)
-# temporaries stay near 0.5 MB each however many elements are asked for; a
-# task is whole rows of the result, so a row wider than this is one task
+# elements per task of the Bloch kernel: its widest temporaries, (elements x
+# 24 plane-wave phases), stay near 0.8 MB each however many elements are asked
+# for; a task is whole rows of the result, so a row wider than this is one task
 _CHUNK = 2048
 # elements in flight at once, whatever the thread count: the budget of the
 # serial kernel (one pass of 4096), which caps the kernel at two threads, the
@@ -144,23 +133,26 @@ _CHUNK = 2048
 _IN_FLIGHT = 4096
 
 
-def _bloch_overlap(spec: GratingSpec, fields) -> np.ndarray:
-    """J from the (pump, signal, idler) BlochField tables `fields`, whose
-    leading shapes are each the result's shape; a product grid passes views
-    (broadcast or windowed), so it needs no copy of its own size.
+def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
+    """J from the (pump, signal, idler) factor tables `tables` of
+    _field_factors, whose trailing (frequency) shapes are each the result's
+    shape; a product grid passes views (broadcast or windowed), so it needs
+    no copy of its own size.
 
-    The rows along the first axis are split into tasks of _CHUNK elements
-    (at least one row), run on _workers() threads; each task takes views of
-    its rows and writes only those rows of the result, so J does not depend
-    on the thread count.
+    The rows along the first frequency axis are split into tasks of _CHUNK
+    elements (at least one row), run on _workers() threads; each task takes
+    views of its rows and writes only those rows of the result, so J does not
+    depend on the thread count.
     """
-    shape = fields[0].omega.shape
+    shape = tables[0]["omega"].shape
     out = np.empty(shape, dtype=complex)
     rows = max(1, _CHUNK // math.prod(shape[1:]))
+    rest = (slice(None),) * (len(shape) - 1)
 
     def task(lo):
-        part = slice(lo, lo + rows)
-        out[part] = _bloch_chunk(spec, *(f.take(part) for f in fields))
+        part = (Ellipsis, slice(lo, lo + rows)) + rest
+        out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
+                                         for table in tables))
 
     starts = range(0, shape[0], rows)
     workers = _workers(len(starts))
@@ -189,54 +181,88 @@ def _workers(tasks: int) -> int:
 _SEGMENT_SUM_GROWTH = 19.0
 
 
-def _bloch_chunk(spec: GratingSpec, fp: BlochField, fs: BlochField,
-                 fi: BlochField) -> np.ndarray:
-    """J from Bloch-mode fields paired element-wise (equal leading shapes).
+def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
+    """J from the factor tables of _field_factors paired element-wise (equal
+    trailing shapes).
 
-    Each of the 16 (pump, pump, signal*, idler) mode combinations is a
-    geometric series over the N periods times one per-period weight; the
-    leads are single uniform segments. Elements with a field at a band edge
-    fall back to the segment sum, or raise OutOfDomain where a field grows
-    too much across the grating for it.
+    Each of the 12 (pump pair, signal*, idler) mode combinations is a
+    geometric series over the N periods, sum_m R**m scaled so that no term
+    exceeds 1 in modulus, times one per-period weight; R is the product of
+    the combination's per-period ratios. Where |R - 1| < 1/N the series is
+    taken from the wrapped log of R, as R - 1 would cancel. The leads are
+    single uniform segments. Elements with a field at a band edge fall back
+    to the segment sum, or raise OutOfDomain where a field grows too much
+    across the grating for it.
     """
-    def combine(x, op=np.add):
-        return op(op(op(_mode_axis(x(fp), 0), _mode_axis(x(fp), 1)),
-                     np.conj(_mode_axis(x(fs), 2))), _mode_axis(x(fi), 3))
+    def combine(name, index=slice(None), op=np.multiply):
+        return op(op(fp[name][index][:, None, None], fs[name][index][None, :, None]),
+                  fi[name][index][None, None, :])
 
-    d_lo = spec.duty_cycle * spec.period
-    weight = 0.0
-    for seg, length in enumerate((d_lo, spec.period - d_lo)):
-        def amps(f, axis):
-            return (_mode_axis(f.segments[..., seg, 0], axis),
-                    _mode_axis(f.segments[..., seg, 1], axis))
-        kp, ks, ki = (f.k[..., seg, None, None, None, None] for f in (fp, fs, fi))
-        weight = weight + _plane_wave_integral(amps(fp, 0), amps(fp, 1), amps(fs, 2),
-                                               amps(fi, 3), kp, ks, ki, length)
-    growing = np.array([1.0, 0.0])       # mode 0 is referenced to period N
-    series = _geometric_sum(combine(lambda f: f.log_ratio),
-                            combine(lambda f: f.log_ratio * growing),
-                            spec.n_periods)
-    coef = combine(lambda f: f.coef, op=np.multiply)
-    total = np.sum(coef * series * weight, axis=(-4, -3, -2, -1))
+    n = spec.n_periods
+    weight = _wave_sum(fp, fs, fi, "period")
+    upper, lower = combine("num", 0), combine("num", 1)
+    den = combine("ratio") - 1.0
+    near = np.abs(den) < 1.0 / n
+    den[near] = 1.0
+    series = np.subtract(upper, lower, out=upper)
+    series /= den
+    if np.any(near):
+        r = _wrap_phase(combine("log_ratio", op=np.add)[near])
+        r_safe = np.where(r == 0, 1.0, r)
+        series[near] = lower[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
+    total = np.sum(series * weight, axis=(0, 1, 2))
 
-    for lead, length in (("lead_in", spec.lead_in_length),
-                         ("lead_out", spec.lead_out_length)):
-        if length > 0:
-            p, s, i = (getattr(f, lead) for f in (fp, fs, fi))
-            pair = (p[..., 0], p[..., 1])
-            total = total + _plane_wave_integral(
-                pair, pair, (s[..., 0], s[..., 1]), (i[..., 0], i[..., 1]),
-                fp.k[..., 1], fs.k[..., 1], fi.k[..., 1], length)
+    for lead in ("lead_in", "lead_out"):
+        if lead in fp:
+            total = total + _wave_sum(fp, fs, fi, lead)[0, 0, 0]
 
-    edge = fp.band_edge | fs.band_edge | fi.band_edge
+    edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
-        growth = spec.n_periods * max(np.max(f.log_ratio[edge].real) for f in (fp, fs, fi))
+        growth = max(np.max(f["growth"][edge]) for f in (fp, fs, fi))
         if growth > _SEGMENT_SUM_GROWTH:
             raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
                               f"sum: a field grows by e^{growth:.1f} across it")
-        total[edge] = _overlap_segment_sum(spec, fp.omega[edge], fs.omega[edge],
-                                           fi.omega[edge])
+        total[edge] = _overlap_segment_sum(spec, fp["omega"][edge], fs["omega"][edge],
+                                           fi["omega"][edge])
     return total
+
+
+def _wave_sum(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
+    """(pump pair, signal mode, idler mode, elements...) integral over the
+    segments of `part` of the products of the fields' plane waves: the sum
+    over segments and waves of the three amplitudes times the wave integral
+    of _wave_integrals. The pump amplitudes carry the segment lengths."""
+    e = _wave_integrals(fp, fs, fi, part)
+    p, s, i = fp[part], fs[part], fi[part]
+    by_signal = i[:, :, None, None, 0] * e[None, :, :, :, 0]     # (idler, segment,
+    by_signal += i[:, :, None, None, 1] * e[None, :, :, :, 1]    # pump, signal waves)
+    del e
+    by_pump = s[:, None, :, None, 0] * by_signal[None, :, :, :, 0]   # (signal, idler,
+    by_pump += s[:, None, :, None, 1] * by_signal[None, :, :, :, 1]  # segment, pump waves)
+    del by_signal
+    total = p[:, None, None, 0, 0] * by_pump[None, :, :, 0, 0]
+    for seg in range(p.shape[1]):
+        for wave in range(p.shape[2]):
+            if seg or wave:
+                total += p[:, None, None, seg, wave] * by_pump[None, :, :, seg, wave]
+    return total
+
+
+def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
+    """(segment, pump, signal, idler waves, elements...) exp(i theta) *
+    sin(theta) / theta, theta the sum of the three waves' angles, from each
+    field's exp(i angle). Only the pump waves 2k and 0 are evaluated: the -2k
+    wave with the other fields' waves swapped has the opposite theta, and so
+    the conjugate value."""
+    angle, turn = part + "_angle", part + "_turn"
+    theta = (fp[angle][:, :2, None, None] + fs[angle][:, None, :, None]
+             + fi[angle][:, None, None, :])
+    half = (fp[turn][:, :2, None] * fs[turn][:, None, :])[:, :, :, None] \
+        * fi[turn][:, None, None, :]
+    sinc = _sinc(theta, np.sin(theta))
+    half.real *= sinc
+    half.imag *= sinc
+    return np.concatenate([half, np.conj(half[:, :1, ::-1, ::-1])], axis=1)
 
 
 def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -268,16 +294,105 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
     omega_i = np.atleast_1d(np.asarray(omega_i, dtype=float))
     if not omega_p.shape == omega_s.shape == omega_i.shape:
         raise InvalidArgument("frequency arrays must have matching shapes")
-    return _bloch_overlap(spec, _field_tables(spec, omega_p, omega_s, omega_i))
+    tables = _field_tables(spec, omega_p.ravel(), omega_s.ravel(), omega_i.ravel())
+    return _bloch_overlap(spec, tables).reshape(omega_p.shape)
 
 
 def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
-    """The (pump, signal, idler) BlochField tables, each frequency checked
-    against the model domain; the idler is launched from the right facet."""
+    """The (pump, signal, idler) factor tables of _field_factors for 1-D
+    frequency arrays, each frequency checked against the model domain; the
+    idler is launched from the right facet."""
     for w, label in ((omega_p, "pump"), (omega_s, "signal"), (omega_i, "idler")):
         _check_domain(w, label)
-    return (_bloch_fields(spec, omega_p, "left"), _bloch_fields(spec, omega_s, "left"),
-            _bloch_fields(spec, omega_i, "right"))
+    return (_field_factors(spec, _bloch_fields(spec, omega_p, "left"), "pump"),
+            _field_factors(spec, _bloch_fields(spec, omega_s, "left"), "signal"),
+            _field_factors(spec, _bloch_fields(spec, omega_i, "right"), "idler"))
+
+
+# plane waves of each field's share of the integrand within a uniform
+# segment, as multiples of its wavenumber: the product of the two pump
+# photons (2k, 0, -2k), the conjugated signal (-k, k) and the idler (k, -k)
+_WAVES = {"pump": (2.0, 0.0, -2.0), "signal": (-1.0, 1.0), "idler": (1.0, -1.0)}
+
+
+def _pairs(modes: int):
+    """The distinct (a, b) pairs of `modes` modes with their multiplicities:
+    the two pump photons share one field, so the pairs ab and ba are equal."""
+    return [(a, b, 1.0 if a == b else 2.0) for a in range(modes) for b in range(a, modes)]
+
+
+def _pump_waves(x, y):
+    """(forward, backward) amplitude pairs x and y, along axis 1, multiplied
+    into the amplitudes of the pump product's three plane waves."""
+    return np.stack([x[:, 0] * y[:, 0], x[:, 0] * y[:, 1] + x[:, 1] * y[:, 0],
+                     x[:, 1] * y[:, 1]], axis=1)
+
+
+def _power(log_ratio, n: int):
+    """exp(n * log_ratio) with a phase whose rounding does not grow with n:
+    the imaginary part is split into a multiple of 2**-30, whose product with
+    n is exact for n < 2**20, and a remainder below 2**-31."""
+    high = np.round(log_ratio.imag * 2.0 ** 30) / 2.0 ** 30
+    return (np.exp(n * log_ratio.real + 1j * (n * high))
+            * np.exp(1j * (n * (log_ratio.imag - high))))
+
+
+def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
+    """The per-frequency factors of one field ('pump', 'signal' or 'idler')
+    that _bloch_chunk reads, with the frequency axis last. Mode axes come
+    first; for the pump they run over the mode pairs of _pairs. The signal's
+    factors are conjugated, as J reads it.
+
+    - ratio, log_ratio:  (mode,)  per-period eigenvalue, and its log
+    - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
+                     numerator of a combination's geometric series is the
+                     product of num[0] less that of num[1]
+    - period:        (mode, segment, wave)  coef times the amplitude of each
+                     plane wave of _WAVES in each segment of a period; the
+                     pump's carry the segment length and pair multiplicity
+    - period_angle:  (segment, wave)  each wave's wavenumber times half the
+                     segment length, and period_turn its exp(i angle)
+    - lead_in, lead_out (with _angle, _turn): the same for the field itself
+                     in that lead, one segment of one mode; present only if
+                     the lead has a length
+    - omega, band_edge, growth:  for the band-edge fallback; growth is
+                     N * max Re(log_ratio), the field's growth across the grating
+    """
+    n = spec.n_periods
+    lr = field.log_ratio.T
+    ratio = np.exp(lr)
+    one = np.ones_like(ratio[0])
+    num = np.array([[one, _power(lr[1], n)], [_power(-lr[0], n), one]])
+    if role == "pump":
+        pairs = _pairs(2)
+        ratio = np.stack([ratio[a] * ratio[b] for a, b, _ in pairs])
+        lr = np.stack([lr[a] + lr[b] for a, b, _ in pairs])
+        num = np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1)
+    elif role == "signal":
+        ratio, lr, num = np.conj(ratio), np.conj(lr), np.conj(num)
+    table = {"omega": field.omega, "band_edge": field.band_edge,
+             "growth": n * np.max(field.log_ratio.real, axis=-1),
+             "ratio": ratio, "log_ratio": lr, "num": num}
+
+    d_lo = spec.duty_cycle * spec.period
+    k = field.k.T
+    parts = {"period": (np.array([d_lo, spec.period - d_lo]), k,
+                        np.moveaxis(field.coef[..., None, None] * field.segments, 0, -1))}
+    for name, length, state in (("lead_in", spec.lead_in_length, field.lead_in),
+                                ("lead_out", spec.lead_out_length, field.lead_out)):
+        if length > 0:
+            parts[name] = (np.array([length]), k[1:], state.T[None, None])
+    waves = np.array(_WAVES[role])
+    for name, (lengths, k, amps) in parts.items():
+        if role == "pump":
+            amps = np.stack([w * _pump_waves(amps[a], amps[b])
+                             for a, b, w in _pairs(len(amps))]) * lengths[:, None, None]
+        elif role == "signal":
+            amps = np.conj(amps)
+        angle = 0.5 * lengths[:, None, None] * waves[:, None] * k[:, None]
+        table.update({name: amps, name + "_angle": angle,
+                      name + "_turn": np.exp(1j * angle)})
+    return table
 
 
 def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -285,9 +400,9 @@ def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     energy-conserving midpoint (w1 + w2)/2.
 
     The two grids must share their spacing: the midpoints then live on a
-    single uniform grid of 2n-1 frequencies, so the structure fields are
-    solved once per distinct frequency and viewed onto the grid without a
-    copy: element (r, c) reads the pump at midpoint r + c.
+    single uniform grid of 2n-1 frequencies, so the factors of the structure
+    fields are formed once per distinct frequency and viewed onto the grid
+    without a copy: element (r, c) reads the pump at midpoint r + c.
     """
     d1 = w1[1] - w1[0]
     d2 = w2[1] - w2[0]
@@ -296,10 +411,12 @@ def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     n1, n2 = w1.size, w2.size
     mids = 0.5 * (w1[0] + w2[0]) + 0.5 * d1 * np.arange(n1 + n2 - 1)
     pump, signal, idler = _field_tables(spec, mids, w1, w2)
-    fields = (pump.map(lambda v: np.moveaxis(sliding_window_view(v, n2, axis=0), -1, 1)),
-              signal.map(lambda v: np.broadcast_to(v[:, None], (n1, n2) + v.shape[1:])),
-              idler.map(lambda v: np.broadcast_to(v, (n1,) + v.shape)))
-    return _bloch_overlap(spec, fields)
+    tables = ({name: sliding_window_view(v, n2, axis=-1) for name, v in pump.items()},
+              {name: np.broadcast_to(v[..., None], v.shape + (n2,))
+               for name, v in signal.items()},
+              {name: np.broadcast_to(v[..., None, :], v.shape[:-1] + (n1, n2))
+               for name, v in idler.items()})
+    return _bloch_overlap(spec, tables)
 
 
 # --------------------------------------------------------------------------

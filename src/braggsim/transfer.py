@@ -14,7 +14,7 @@ entries as t = 1/m00 and r = m10/m00, with |t|^2 + |r|^2 = 1 and det M = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,15 +352,6 @@ class BlochField:
     lead_in: np.ndarray
     lead_out: np.ndarray
     band_edge: np.ndarray
-
-    def map(self, fn) -> "BlochField":
-        """The fields with `fn` applied to every array; `fn` acts on the
-        leading (frequency) axes and keeps the trailing ones."""
-        return BlochField(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
-
-    def take(self, index) -> "BlochField":
-        """The fields at frequency index `index` of the leading axes."""
-        return self.map(lambda v: v[index])
 
 
 def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
