@@ -194,9 +194,9 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
     to the segment sum, or raise OutOfDomain where a field grows too much
     across the grating for it.
     """
-    def combine(name, index=slice(None), op=np.multiply):
-        return op(op(fp[name][index][:, None, None], fs[name][index][None, :, None]),
-                  fi[name][index][None, None, :])
+    def combine(name, index=slice(None)):
+        return (fp[name][index][:, None, None] * fs[name][index][None, :, None]
+                * fi[name][index][None, None, :])
 
     n = spec.n_periods
     weight = _wave_sum(fp, fs, fi, "period")
@@ -207,7 +207,10 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
     series = np.subtract(upper, lower, out=upper)
     series /= den
     if np.any(near):
-        r = _wrap_phase(combine("log_ratio", op=np.add)[near])
+        pair, sig, idl, *elems = np.nonzero(near)
+        elems = tuple(elems)
+        r = _wrap_phase(fp["log_ratio"][(pair,) + elems] + fs["log_ratio"][(sig,) + elems]
+                        + fi["log_ratio"][(idl,) + elems])
         r_safe = np.where(r == 0, 1.0, r)
         series[near] = lower[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
     total = np.sum(series * weight, axis=(0, 1, 2))
@@ -392,7 +395,8 @@ def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
         angle = 0.5 * lengths[:, None, None] * waves[:, None] * k[:, None]
         table.update({name: amps, name + "_angle": angle,
                       name + "_turn": np.exp(1j * angle)})
-    return table
+    # contiguous, so that the kernel's inner loops run along frequency
+    return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
 
 def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
