@@ -505,13 +505,15 @@ _JSD_CSV_HEADER = "lambda_signal_nm,lambda_idler_nm,jsd_normalized\n"
 def _jsd_csv(state):
     """The rows of the JSD CSV below _JSD_CSV_HEADER, one block of text per
     signal wavelength, ascending in wavelength on both axes (the grids
-    ascend in frequency); each wavelength is formatted once."""
+    ascend in frequency); each wavelength is formatted once, and each block
+    with one % operation on a template that holds them."""
     from .model import _FMT
     lam1 = [_FMT.format(x) for x in (state.signal_grid.wavelengths[::-1] * 1e9).tolist()]
     lam2 = [_FMT.format(x) for x in (state.idler_grid.wavelengths[::-1] * 1e9).tolist()]
+    value = _FMT.replace("{:", "%").replace("}", "")        # the same format, for %
     for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1]):
-        yield "".join(f"{l1},{l2},{_FMT.format(v)}\n"
-                      for l2, v in zip(lam2, jsd_row.tolist()))
+        template = "".join(f"{l1},{l2},{value}\n" for l2 in lam2)
+        yield template % tuple(jsd_row.tolist())
 
 
 def _jsd_header(state, report) -> dict:

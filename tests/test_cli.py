@@ -375,6 +375,26 @@ def test_jsd_csv_is_streamed_unchanged(tmp_path):
     assert (tmp_path / "jsd.csv").read_text() == "\n".join(rows) + "\n"
 
 
+def test_jsd_csv_matches_per_value_format():
+    # each block is formatted with one % operation on a per-row template; it
+    # must equal _FMT applied value by value, here on a non-square state whose
+    # values span many decades and include an exact zero
+    import numpy as np
+    from braggsim import model
+    from braggsim.quantum import TwoPhotonState
+    rng = np.random.default_rng(5)
+    amp = 1e-11 * rng.standard_normal((5, 7)) * 10.0 ** rng.uniform(-6.0, 0.0, (5, 7))
+    amp[1, 2] = 0.0
+    state = TwoPhotonState(amp, model.grid_around_omega(1.21e15, 2e11, 5),
+                           model.grid_around_omega(1.23e15, 3e11, 7))
+    lam1 = state.signal_grid.wavelengths * 1e9
+    lam2 = state.idler_grid.wavelengths * 1e9
+    expected = "".join(
+        ",".join(model._FMT.format(float(v)) for v in (lam1[a], lam2[b], state.jsd[a, b]))
+        + "\n" for a in range(4, -1, -1) for b in range(6, -1, -1))
+    assert "".join(cli._jsd_csv(state)) == expected
+
+
 def test_report_writes_everything(tiny_config, tmp_path):
     out = tmp_path / "report"
     assert run("report", "--config", str(tiny_config), "--out", str(out),

@@ -289,6 +289,39 @@ class TestBlochOverlap:
         assert abs(value - expected) / abs(expected) < 1e-9
 
 
+class TestSeriesBranches:
+    @pytest.mark.filterwarnings("error")
+    def test_both_sides_of_the_near_test(self, monkeypatch):
+        # a fine pump scan through phase matching moves mode combinations'
+        # N |R - 1| across 1, where the geometric series switches from the
+        # ratio of differences to the wrapped-log form; in the last element
+        # pump, signal and idler share one frequency, so r = 0 exactly
+        w_0 = model.omega_from_wavelength(1552e-9)
+        args = tuple(np.append(w, w_0) for w in pump_scan(
+            REF.bragg_wavelength - 3e-9, REF.bragg_wavelength + 3e-9, 201))
+        fp, fs, fi = fwm._field_tables(REF, *args)
+        ratio = fp["ratio"][:, None, None] * fs["ratio"][None, :, None] \
+            * fi["ratio"][None, None, :]
+        gap = REF.n_periods * np.abs(ratio - 1.0)     # (pump pair, signal, idler, element)
+        assert np.any((gap > 0.5) & (gap < 1.0)) and np.any((gap > 1.0) & (gap < 2.0))
+        nearest = np.min(gap, axis=(0, 1, 2))
+        assert np.any(nearest < 1.0) and np.any(nearest > 1.0)
+
+        wrapped, wrap = [], fwm._wrap_phase
+
+        def recording(x):
+            wrapped.append(wrap(x))
+            return wrapped[-1]
+
+        monkeypatch.setattr(fwm, "_wrap_phase", recording)
+        value = fwm.overlap_elements(REF, *args)
+        r = np.concatenate(wrapped)
+        assert r.size == np.count_nonzero(gap < 1.0)   # the near form, there only
+        assert np.any(r == 0)
+        rel = np.abs(value - oracle(REF, *args)) / np.abs(value)
+        assert np.all(rel < 1e-9)
+
+
 @pytest.fixture(scope="module")
 def band_edge():
     return upper_band_edge(REF)
