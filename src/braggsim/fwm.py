@@ -127,9 +127,9 @@ def _wrap_phase(x):
 # 24 plane-wave phases), stay near 0.8 MB each however many elements are asked
 # for; a task is whole rows of the result, so a row wider than this is one task
 _CHUNK = 2048
-# elements in flight at once, whatever the thread count: the budget of the
-# serial kernel (one pass of 4096), which caps the kernel at two threads, the
-# count its speed and memory were measured at
+# elements in flight at once, whatever the thread count, which bounds the
+# kernel's memory: with _CHUNK it caps the kernel at two threads, the count
+# its speed and memory were measured at
 _IN_FLIGHT = 4096
 
 
@@ -188,8 +188,9 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
     Each of the 12 (pump pair, signal*, idler) mode combinations is a
     geometric series over the N periods, sum_m R**m scaled so that no term
     exceeds 1 in modulus, times one per-period weight; R is the product of
-    the combination's per-period ratios. Where |R - 1| < 1/N the series is
-    taken from the wrapped log of R, as R - 1 would cancel. The leads are
+    the combination's per-period ratios, and the series is the product of
+    the num[0] factors less that of num[1], over R - 1. Where |R - 1| < 1/N,
+    where that would cancel, it is taken from the wrapped log of R. The leads are
     single uniform segments. Elements with a field at a band edge fall back
     to the segment sum, or raise OutOfDomain where a field grows too much
     across the grating for it.
@@ -235,6 +236,8 @@ def _wave_sum(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
     segments of `part` of the products of the fields' plane waves: the sum
     over segments and waves of the three amplitudes times the wave integral
     of _wave_integrals. The pump amplitudes carry the segment lengths."""
+    # each stage's input is dropped once used: a task then holds at most
+    # three arrays of (elements x 24), which bounds the table's memory
     e = _wave_integrals(fp, fs, fi, part)
     p, s, i = fp[part], fs[part], fi[part]
     by_signal = i[:, :, None, None, 0] * e[None, :, :, :, 0]     # (idler, segment,
@@ -243,11 +246,10 @@ def _wave_sum(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
     by_pump = s[:, None, :, None, 0] * by_signal[None, :, :, :, 0]   # (signal, idler,
     by_pump += s[:, None, :, None, 1] * by_signal[None, :, :, :, 1]  # segment, pump waves)
     del by_signal
-    total = p[:, None, None, 0, 0] * by_pump[None, :, :, 0, 0]
+    total = 0.0
     for seg in range(p.shape[1]):
         for wave in range(p.shape[2]):
-            if seg or wave:
-                total += p[:, None, None, seg, wave] * by_pump[None, :, :, seg, wave]
+            total += p[:, None, None, seg, wave] * by_pump[None, :, :, seg, wave]
     return total
 
 
