@@ -443,12 +443,9 @@ def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_
         },
     }
     if fmt == "csv":
-        names = ("rate_per_s", "bandwidth_rad_s", "power_w",
-                 "rate_per_s_per_mw2", "rate_per_s_per_mw2_external")
-        row = [spont.rate, spont.bandwidth, spont.spont_power,
-               spont.rate_per_mw2, spont.rate_per_mw2_external]
-        text = ",".join(names) + "\n" + ",".join(
-            "" if v is None else _FMT.format(v) for v in row) + "\n"
+        row = result["spontaneous"]
+        text = ",".join(row) + "\n" + ",".join(
+            "" if v is None else _FMT.format(v) for v in row.values()) + "\n"
         out.write("spont_rate.csv", text)
     else:
         out.write("spont_rate.json", _json_text(result))
@@ -629,10 +626,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IOFailure as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IOFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # domain errors from the numeric modules

@@ -448,20 +448,27 @@ class StimulatedResult:
     rate_per_mw2_external: float | None
 
 
+def _idler_response(spec: GratingSpec, params: NonlinearParams, j, omega_i):
+    """(idler power, idler photon rate, rate per squared mW of internal pump)
+    from the overlap j, elementwise; warns when the nonlinear phase
+    gamma * P * L is too large for the undepleted-pump result."""
+    if params.gamma * params.coupled_pump_power * spec.total_length >= 0.1:
+        warnings.warn("nonlinear phase is not small; the undepleted-pump "
+                      "result may be inaccurate", stacklevel=3)
+    power = (params.gamma * params.coupled_pump_power) ** 2 \
+        * params.coupled_signal_power * np.abs(j) ** 2
+    rate = power / (HBAR * omega_i)
+    pump_mw = params.coupled_pump_power / 1e-3
+    return power, rate, rate / pump_mw ** 2 if pump_mw > 0 else np.zeros_like(rate)
+
+
 def stimulated_idler(spec: GratingSpec, params: NonlinearParams, omega_p: float,
                      omega_s: float, omega_i: float | None = None) -> StimulatedResult:
     """Stimulated idler at one setting; the idler defaults to 2*omega_p - omega_s."""
     if omega_i is None:
         omega_i = idler_omega(omega_p, omega_s)
     j = complex(overlap_elements(spec, [omega_p], [omega_s], [omega_i])[0])
-    if params.gamma * params.coupled_pump_power * spec.total_length >= 0.1:
-        warnings.warn("nonlinear phase is not small; the undepleted-pump "
-                      "result may be inaccurate", stacklevel=2)
-    power = (params.gamma * params.coupled_pump_power) ** 2 \
-        * params.coupled_signal_power * abs(j) ** 2
-    rate = power / (HBAR * omega_i)
-    pump_mw = params.coupled_pump_power / 1e-3
-    per_mw2 = rate / pump_mw ** 2 if pump_mw > 0 else 0.0
+    power, rate, per_mw2 = map(float, _idler_response(spec, params, j, omega_i))
     external = None
     if params.coupling_loss_db is not None:
         external = per_mw2 * params.facet_transmission ** 2
@@ -488,12 +495,8 @@ def pump_sweep(spec: GratingSpec, params: NonlinearParams, pump_wavelengths,
     w_p = 2.0 * math.pi * C0 / lam_p
     w_s = np.full_like(w_p, omega_from_wavelength(signal_wavelength))
     w_i = 2.0 * w_p - w_s
-    j = overlap_elements(spec, w_p, w_s, w_i)
-    power = (params.gamma * params.coupled_pump_power) ** 2 \
-        * params.coupled_signal_power * np.abs(j) ** 2
-    rate = power / (HBAR * w_i)
-    pump_mw = params.coupled_pump_power / 1e-3
-    per_mw2 = rate / pump_mw ** 2 if pump_mw > 0 else np.zeros_like(rate)
+    power, _, per_mw2 = _idler_response(spec, params,
+                                        overlap_elements(spec, w_p, w_s, w_i), w_i)
     order = np.argsort(lam_p)
     return SweepResult(
         x_name="pump_wavelength_nm",

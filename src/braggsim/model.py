@@ -56,6 +56,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _level_crossings(x: np.ndarray, y: np.ndarray, start: int, level: float):
+    """(left, right): where y, walked out from index start to each side, first
+    rises from y <= level to y > level, interpolated linearly in x; None for
+    a side where it never does."""
+    above, below = y > level, y <= level
+    left = np.flatnonzero(above[:start] & below[1:start + 1])
+    right = start + np.flatnonzero(below[start:-1] & above[start + 1:])
+
+    def cross(out: int, inside: int) -> float:
+        f = (level - y[out]) / (y[inside] - y[out])
+        return float(x[out] + f * (x[inside] - x[out]))
+
+    return (cross(left[-1], left[-1] + 1) if left.size else None,
+            cross(right[0] + 1, right[0]) if right.size else None)
+
+
 # --------------------------------------------------------------------------
 # grids
 

@@ -38,6 +38,7 @@ from .model import (
     PumpPulse,
     RingSpec,
     SweepResult,
+    _level_crossings,
     grid_around_omega,
     pump_spectral_amplitude,
 )
@@ -182,9 +183,6 @@ def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
 
     w1 = signal_grid.points
     w2 = idler_grid.points
-    if params.gamma == 0.0:
-        return TwoPhotonState(np.zeros((w1.size, w2.size), dtype=complex),
-                              signal_grid, idler_grid)
     j_table = overlap_table(spec, w1, w2)
     g = pulse.envelope_squared_spectrum(w1[:, None] + w2[None, :] - 2.0 * w0)
     phi = math.sqrt(2.0 * math.pi) * params.gamma * HBAR * w0 * g * j_table
@@ -241,10 +239,6 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
     idler_grid = grid_around_omega(w_i0, 2.0 * span_linewidths * g_i, n_points)
     w1 = signal_grid.points
     w2 = idler_grid.points
-    if params.gamma == 0.0:
-        return TwoPhotonState(np.zeros((w1.size, w2.size), dtype=complex),
-                              signal_grid, idler_grid)
-
     sums, h_table = _pump_pair_spectrum(pulse, w_p0, g_p)
     s_grid = w1[:, None] + w2[None, :]
     h = (np.interp(s_grid, sums, h_table.real, left=0.0, right=0.0)
@@ -304,45 +298,35 @@ def _profile_fwhm(centers: np.ndarray, profile: np.ndarray) -> float:
     """Full width at half maximum with linear interpolation at the crossings;
     clamped to the profile support when a flank never falls below half."""
     peak = int(np.argmax(profile))
-    half = profile[peak] / 2.0
-    left = centers[0]
-    for i in range(peak, 0, -1):
-        if profile[i - 1] < half <= profile[i]:
-            f = (half - profile[i - 1]) / (profile[i] - profile[i - 1])
-            left = centers[i - 1] + f * (centers[i] - centers[i - 1])
-            break
-    right = centers[-1]
-    for i in range(peak, profile.size - 1):
-        if profile[i + 1] < half <= profile[i]:
-            f = (half - profile[i + 1]) / (profile[i] - profile[i + 1])
-            right = centers[i + 1] - f * (centers[i + 1] - centers[i])
-            break
-    return float(right - left)
+    left, right = _level_crossings(centers, -profile, peak, -profile[peak] / 2.0)
+    return float((centers[-1] if right is None else right)
+                 - (centers[0] if left is None else left))
 
 
 def ridge_width_ratio(state: TwoPhotonState) -> float:
     """FWHM across the anti-diagonal ridge divided by FWHM along it.
 
-    The density is resampled onto rotated coordinates u = (d1 + d2)/sqrt(2)
-    (across the stripe of constant w1 + w2) and v = (d1 - d2)/sqrt(2), with
-    d the detuning from each grid center. Values well below 1 indicate
-    spectrally anti-correlated pairs.
+    The widths are those of the marginals of the density along the rotated
+    coordinates u = (d1 + d2)/sqrt(2) (across the stripe of constant
+    w1 + w2) and v = (d1 - d2)/sqrt(2), with d the detuning. Both grids must
+    share one spacing h: the grid points then lie on lines of constant i + j
+    (constant u) and of constant i - j (constant v), h/sqrt(2) apart in
+    both, so each marginal is the density summed along its lines and both
+    widths are counted in lines. Values well below 1 indicate spectrally
+    anti-correlated pairs.
     """
     if state.is_zero:
         raise InvalidArgument("ridge width undefined for an all-zero state")
-    w1 = state.signal_grid.points
-    w2 = state.idler_grid.points
-    d1 = w1 - 0.5 * (w1[0] + w1[-1])
-    d2 = w2 - 0.5 * (w2[0] + w2[-1])
-    u = (d1[:, None] + d2[None, :]) / math.sqrt(2.0)
-    v = (d1[:, None] - d2[None, :]) / math.sqrt(2.0)
+    h = state.signal_grid.spacing
+    if abs(h - state.idler_grid.spacing) > 1e-9 * h:
+        raise InvalidArgument("signal and idler grids must share their spacing")
+    n1, n2 = state.jsd.shape
+    i, j = np.indices((n1, n2))
+    lines = np.arange(n1 + n2 - 1.0)
     weights = state.jsd.ravel()
-    widths = []
-    for coord in (u, v):
-        hist, edges = np.histogram(coord.ravel(), bins=w1.size, weights=weights)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        widths.append(_profile_fwhm(centers, hist))
-    return widths[0] / widths[1]
+    across = _profile_fwhm(lines, np.bincount((i + j).ravel(), weights=weights))
+    along = _profile_fwhm(lines, np.bincount((i - j + n2 - 1).ravel(), weights=weights))
+    return across / along
 
 
 def principal_axis_ratio(state: TwoPhotonState) -> float:
@@ -350,17 +334,10 @@ def principal_axis_ratio(state: TwoPhotonState) -> float:
     the joint spectral density."""
     if state.is_zero:
         raise InvalidArgument("axis ratio undefined for an all-zero state")
-    p = state.jsd / np.sum(state.jsd)
-    w1 = state.signal_grid.points
-    w2 = state.idler_grid.points
-    g1 = w1[:, None] * np.ones_like(w2)[None, :]
-    g2 = np.ones_like(w1)[:, None] * w2[None, :]
-    m1 = float(np.sum(p * g1))
-    m2 = float(np.sum(p * g2))
-    c11 = float(np.sum(p * (g1 - m1) ** 2))
-    c22 = float(np.sum(p * (g2 - m2) ** 2))
-    c12 = float(np.sum(p * (g1 - m1) * (g2 - m2)))
-    ev = np.linalg.eigvalsh(np.array([[c11, c12], [c12, c22]]))
+    g1, g2 = np.meshgrid(state.signal_grid.points, state.idler_grid.points,
+                         indexing="ij")
+    cov = np.cov(g1.ravel(), g2.ravel(), aweights=state.jsd.ravel(), bias=True)
+    ev = np.linalg.eigvalsh(cov)
     if ev[0] <= 0:
         raise InvalidArgument("degenerate joint spectral density")
     return math.sqrt(ev[1] / ev[0])

@@ -25,6 +25,7 @@ from .model import (
     InvalidArgument,
     OutOfDomain,
     SweepResult,
+    _level_crossings,
 )
 
 __all__ = [
@@ -71,22 +72,6 @@ def _iface_stack(k1, k2) -> np.ndarray:
     return out
 
 
-def _matmul_power(m: np.ndarray, count: int) -> np.ndarray:
-    """m^count by binary exponentiation on stacked 2x2 arrays."""
-    result = np.zeros_like(m)
-    result[..., 0, 0] = 1.0
-    result[..., 1, 1] = 1.0
-    base = m
-    n = count
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
-
-
 # --------------------------------------------------------------------------
 # structures
 
@@ -108,7 +93,7 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
     shape omega.shape + (2, 2)."""
     omega = np.asarray(omega, dtype=float)
     k_hi = wavenumber(spec.n_hi, omega)
-    m = _matmul_power(unit_cell_matrix(spec, omega), spec.n_periods)
+    m = np.linalg.matrix_power(unit_cell_matrix(spec, omega), spec.n_periods)
     if spec.lead_in_length > 0:
         m = _prop_stack(k_hi, spec.lead_in_length) @ m
     if spec.lead_out_length > 0:
@@ -157,12 +142,6 @@ class StopbandReport:
         return self.band_stop - self.band_start
 
 
-def _crossing(lam: np.ndarray, db: np.ndarray, i0: int, i1: int, level: float) -> float:
-    """Linear interpolation of the wavelength where db crosses level."""
-    f = (level - db[i0]) / (db[i1] - db[i0])
-    return lam[i0] + f * (lam[i1] - lam[i0])
-
-
 def stopband_report(spec: GratingSpec, grid: FrequencyGrid,
                     threshold_db: float = 10.0) -> StopbandReport:
     """Characterize the stopband on the given grid.
@@ -181,19 +160,7 @@ def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> Stopban
     trans = sweep.column("transmission")
     db = sweep.column("transmission_db")
     imin = int(np.argmin(trans))
-    level = -threshold_db
-
-    left = None
-    for i in range(imin, 0, -1):
-        if db[i - 1] > level >= db[i]:
-            left = _crossing(lam, db, i - 1, i, level)
-            break
-    right = None
-    for i in range(imin, lam.size - 1):
-        if db[i + 1] > level >= db[i]:
-            right = _crossing(lam, db, i + 1, i, level)
-            break
-
+    left, right = _level_crossings(lam, db, imin, -threshold_db)
     return StopbandReport(
         center_wavelength=float(lam[imin]),
         min_transmission=float(trans[imin]),

@@ -293,6 +293,25 @@ def test_spont_rate_json(tiny_config, tmp_path):
     assert float(spont["rate_per_s"]) > 0
 
 
+def test_spont_rate_csv_names_the_json_fields(tiny_config, tmp_path):
+    assert run("spont-rate", "--config", str(tiny_config), "--out",
+               str(tmp_path / "json"), "--format", "json") == 0
+    spont = json.loads((tmp_path / "json" / "spont_rate.json").read_text())["spontaneous"]
+    lossless = dict(TINY, nonlinear=dict(TINY["nonlinear"], coupling_loss_db=None))
+    config = tmp_path / "lossless.json"
+    config.write_text(json.dumps(lossless))
+    for cfg, out in ((tiny_config, "csv"), (config, "lossless")):
+        assert run("spont-rate", "--config", str(cfg), "--out", str(tmp_path / out),
+                   "--format", "csv") == 0
+    header, row = (tmp_path / "csv" / "spont_rate.csv").read_text().splitlines()
+    assert header.split(",") == list(spont)
+    assert row.split(",") == list(spont.values())
+    header, row = (tmp_path / "lossless" / "spont_rate.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["rate_per_s_per_mw2_external"] == ""
+    assert all(v for k, v in cells.items() if k != "rate_per_s_per_mw2_external")
+
+
 def test_contrast_sweep_outputs(tiny_config, tmp_path):
     out = tmp_path / "contrast"
     assert run("contrast-sweep", "--config", str(tiny_config), "--out", str(out),

@@ -168,6 +168,12 @@ class TestStimulatedIdler:
         with pytest.warns(UserWarning, match="nonlinear phase"):
             fwm.stimulated_idler(REF, strong, W_P, W_S)
 
+    def test_sweep_warns_when_nonlinear_phase_large(self):
+        strong = model.NonlinearParams(gamma=200.0, coupled_pump_power=0.8,
+                                       coupled_signal_power=1.23e-3)
+        with pytest.warns(UserWarning, match="nonlinear phase"):
+            fwm.pump_sweep(REF, strong, [1545e-9, 1546e-9], 1560.0e-9)
+
 
 @pytest.fixture(scope="module")
 def sweep():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from braggsim import model
+from braggsim import model, quantum
 from braggsim.constants import HBAR, SPEED_OF_LIGHT
 
 
@@ -252,6 +252,81 @@ def test_non_finite_fields_rejected(cls, field, value):
     cls(**VALID[cls])
     with pytest.raises(model.InvalidArgument):
         cls(**{**VALID[cls], field: value})
+
+
+# The scans of spectrum_stopband and _profile_fwhm as they were written
+# before they shared model._level_crossings.
+
+
+def _stopband_scan(lam, db, imin, level):
+    def _crossing(lam, db, i0, i1, level):
+        f = (level - db[i0]) / (db[i1] - db[i0])
+        return lam[i0] + f * (lam[i1] - lam[i0])
+
+    left = None
+    for i in range(imin, 0, -1):
+        if db[i - 1] > level >= db[i]:
+            left = _crossing(lam, db, i - 1, i, level)
+            break
+    right = None
+    for i in range(imin, lam.size - 1):
+        if db[i + 1] > level >= db[i]:
+            right = _crossing(lam, db, i + 1, i, level)
+            break
+    return left, right
+
+
+def _profile_fwhm_scan(centers, profile):
+    peak = int(np.argmax(profile))
+    half = profile[peak] / 2.0
+    left = centers[0]
+    for i in range(peak, 0, -1):
+        if profile[i - 1] < half <= profile[i]:
+            f = (half - profile[i - 1]) / (profile[i] - profile[i - 1])
+            left = centers[i - 1] + f * (centers[i] - centers[i - 1])
+            break
+    right = centers[-1]
+    for i in range(peak, profile.size - 1):
+        if profile[i + 1] < half <= profile[i]:
+            f = (half - profile[i + 1]) / (profile[i] - profile[i + 1])
+            right = centers[i + 1] - f * (centers[i + 1] - centers[i])
+            break
+    return float(right - left)
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def _random_profiles(rng):
+    """(x, y) pairs of 2 to 12 samples, x ascending: y of small integers, so
+    that samples exactly at an integer level are common, and of normal
+    floats; one in ten y is sorted, which leaves one side without a crossing."""
+    for n in range(2, 13):
+        for _ in range(30):
+            x = np.cumsum(rng.uniform(0.1, 2.0, n)) + rng.normal()
+            for y in (rng.integers(0, 5, n).astype(float), rng.normal(size=n)):
+                yield x, np.sort(y) if rng.random() < 0.1 else y
+
+
+def test_level_crossings_equal_the_stopband_scan():
+    rng = np.random.default_rng(5)
+    for x, y in _random_profiles(rng):
+        for level in (2.0, 0.5, float(rng.normal())):
+            for start in range(y.size):
+                got = model._level_crossings(x, y, start, level)
+                ref = _stopband_scan(x, y, start, level)
+                assert tuple(map(_bits, got)) == tuple(map(_bits, ref))
+
+
+def test_profile_fwhm_equals_its_scan():
+    rng = np.random.default_rng(6)
+    for x, y in _random_profiles(rng):
+        y = np.abs(y)
+        # an even integer peak, at either end or inside, puts the half
+        # maximum on integer samples
+        y[rng.choice([0, y.size - 1, rng.integers(y.size)])] = max(8.0, y.max())
+        assert _bits(quantum._profile_fwhm(x, y)) == _bits(_profile_fwhm_scan(x, y))
 
 
 class TestSweepResult:

@@ -557,12 +557,33 @@ def _gaussian_ridge_state(sigma_u, sigma_v, n=121):
 
 
 def test_ridge_width_ratio_recovers_aspect():
-    # ridge FWHM must span enough histogram bins to avoid binning bias
+    # both FWHMs must span several lattice lines (h/sqrt(2) apart) for the
+    # linear interpolation at the half-maximum crossings to be accurate
     w = 8e10
     st = _gaussian_ridge_state(w / 20, w / 5)
     assert quantum.ridge_width_ratio(st) == pytest.approx(0.25, rel=0.12)
     round_st = _gaussian_ridge_state(w / 12, w / 12)
     assert quantum.ridge_width_ratio(round_st) == pytest.approx(1.0, rel=0.1)
+
+
+def test_ridge_width_ratio_converges_to_the_top_hat_ridge(scenario, bw_state):
+    # the 1 ns top-hat's sinc^2 ridge is 0.63 GHz across and runs along the
+    # whole sqrt(2) x 10 GHz diagonal of the windows: 0.0444
+    def ratio(n_points):
+        return quantum.ridge_width_ratio(quantum.two_photon_state_bw(
+            scenario.grating, scenario.params, scenario.pulse,
+            scenario.signal_window, scenario.idler_window, n_points=n_points))
+
+    assert quantum.ridge_width_ratio(bw_state) == pytest.approx(0.0444, rel=0.02)
+    r101, r401 = ratio(101), ratio(401)
+    assert abs(r401 - r101) < 0.01 * r101
+
+
+def test_ridge_width_ratio_needs_one_spacing():
+    g1 = model.grid_around_omega(1.207e15, 8e10, 24)
+    g2 = model.grid_around_omega(1.230e15, 8.1e10, 24)
+    with pytest.raises(model.InvalidArgument, match="spacing"):
+        quantum.ridge_width_ratio(_state_from_amplitude(np.ones((24, 24)), g1, g2))
 
 
 def test_principal_axis_ratio_recovers_aspect():
