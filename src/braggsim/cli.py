@@ -82,7 +82,7 @@ def serialize_config(raw: dict) -> str:
 
 
 def _get(section: dict, path: str, key: str, kinds, required: bool = True,
-         default=None, nullable: bool = False):
+         default=None, nullable: bool = False, positive: bool = False):
     full = f"{path}.{key}" if path else key
     if key not in section:
         if required:
@@ -98,6 +98,8 @@ def _get(section: dict, path: str, key: str, kinds, required: bool = True,
             raise ConfigError(f"{full}: expected a number, got {type(value).__name__}")
         if not math.isfinite(value):
             raise ConfigError(f"{full}: must be a finite number, got {value}")
+        if positive and value <= 0:
+            raise ConfigError(f"{full}: must be > 0, got {value:g}")
         return float(value)
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -212,7 +214,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
                                   "ring_comparator.pulse", model)
 
     sp = _section(raw, "spectrum")
-    start = _get(sp, "spectrum", "start_nm", float) * 1e-9
+    start = _get(sp, "spectrum", "start_nm", float, positive=True) * 1e-9
     stop = _get(sp, "spectrum", "stop_nm", float) * 1e-9
     step = _get(sp, "spectrum", "step_pm", float) * 1e-12
     if stop <= start or step <= 0:
@@ -221,10 +223,10 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     spectrum_args = (0.5 * (start + stop), stop - start, n_points)
 
     ps = _section(raw, "pump_sweep")
-    sweep_args = (_get(ps, "pump_sweep", "start_nm", float) * 1e-9,
+    sweep_args = (_get(ps, "pump_sweep", "start_nm", float, positive=True) * 1e-9,
                   _get(ps, "pump_sweep", "stop_nm", float) * 1e-9,
                   _get(ps, "pump_sweep", "points", int),
-                  _get(ps, "pump_sweep", "signal_nm", float) * 1e-9)
+                  _get(ps, "pump_sweep", "signal_nm", float, positive=True) * 1e-9)
     if sweep_args[1] <= sweep_args[0] or sweep_args[2] < 2:
         raise ConfigError("pump_sweep: needs stop_nm > start_nm and points >= 2")
 
@@ -238,9 +240,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     if jsd_points < 2:
         raise ConfigError("jsd.points: must be >= 2")
     ring_span = _get(jsd, "jsd", "ring_span_linewidths", float, required=False,
-                     default=6.0)
-    if ring_span <= 0:
-        raise ConfigError("jsd.ring_span_linewidths: must be > 0")
+                     default=6.0, positive=True)
     return ScenarioConfig(
         grating=grating,
         ring=ring,
@@ -406,6 +406,8 @@ def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_
     start, stop, n_points, signal = cfg.pump_sweep_args
     lam = np.linspace(start, stop, points or n_points)
     sweep = pump_sweep(cfg.grating, cfg.params, lam, signal)
+    # before any file is written, so that a sweep without a dip leaves none
+    dip = dip_report(sweep)
     if fmt == "csv":
         out.write("stim_sweep.csv", sweep.to_csv_text())
     else:
@@ -413,7 +415,6 @@ def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_
         if cfg.params.coupling_loss_db is not None:
             obj["external_per_internal_rate_factor"] = cfg.params.facet_transmission ** 2
         out.write("stim_sweep.json", _json_text(obj))
-    dip = dip_report(sweep)
     out.say(f"idler dip at {dip.center_x:.3f} nm, "
             f"suppression {dip.suppression_db:.1f} dB vs off-band median")
 
@@ -504,12 +505,11 @@ def _jsd_csv(state):
     signal wavelength, ascending in wavelength on both axes (the grids
     ascend in frequency); each wavelength is formatted once, and each block
     with one % operation on a template that holds them."""
-    from .model import _FMT
+    from .model import _FMT, _FMT_PERCENT
     lam1 = [_FMT.format(x) for x in (state.signal_grid.wavelengths[::-1] * 1e9).tolist()]
     lam2 = [_FMT.format(x) for x in (state.idler_grid.wavelengths[::-1] * 1e9).tolist()]
-    value = _FMT.replace("{:", "%").replace("}", "")        # the same format, for %
     for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1]):
-        template = "".join(f"{l1},{l2},{value}\n" for l2 in lam2)
+        template = "".join(f"{l1},{l2},{_FMT_PERCENT}\n" for l2 in lam2)
         yield template % tuple(jsd_row.tolist())
 
 

@@ -33,13 +33,12 @@ from .model import (
     wavelength_from_omega,
 )
 from .threads import thread_count
-from .transfer import BlochField, _bloch_fields, _segment_amplitudes
+from .transfer import BlochField, _bloch_fields, _segment_amplitudes, wavenumber
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
     "idler_omega",
     "idler_wavelength",
-    "segment_exp_integral",
     "overlap_elements",
     "overlap_table",
     "StimulatedResult",
@@ -71,51 +70,6 @@ def _check_domain(omega, label: str) -> None:
     if np.any(lam < lo * (1 - 1e-12)) or np.any(lam > hi * (1 + 1e-12)):
         raise OutOfDomain(
             f"{label} wavelength outside the {lo * 1e9:.0f}-{hi * 1e9:.0f} nm model domain")
-
-
-def segment_exp_integral(kappa, length):
-    """integral_0^length exp(i kappa u) du for real kappa, stable for kappa -> 0.
-
-    Written as length * exp(i theta) * sin(theta) / theta with theta =
-    kappa * length / 2, from the real sine and cosine, so the phase is
-    explicit and the modulus never suffers cancellation.
-    """
-    theta = 0.5 * np.asarray(kappa) * length
-    sin = np.sin(theta)
-    sinc = _sinc(theta, sin)
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.multiply(sinc, np.cos(theta), out=out.real)
-    np.multiply(sinc, sin, out=out.imag)
-    return length * out
-
-
-def _sinc(theta, sin):
-    """sin(theta) / theta from theta and its sine; 1 at theta = 0."""
-    return np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0)
-
-
-def _plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
-    """integral_0^length of g_1 g_2 conj(g_s) g_i over one uniform segment,
-    where each g = fwd * exp(i k u) + bwd * exp(-i k u) is given as its
-    (fwd, bwd) pair: three pump plane waves times two each for signal and
-    idler, twelve terms in total. Arguments broadcast."""
-    pump = ((pump1[0] * pump2[0], 2.0),
-            (pump1[0] * pump2[1] + pump1[1] * pump2[0], 0.0),
-            (pump1[1] * pump2[1], -2.0))
-    sig = ((np.conj(signal[0]), -1.0), (np.conj(signal[1]), 1.0))
-    idl = ((idler[0], 1.0), (idler[1], -1.0))
-    # nested sums: each coefficient multiplies only what its factor spans
-    total = 0.0
-    for cp, sp in pump:
-        by_pump = 0.0
-        for cs, ss in sig:
-            by_signal = 0.0
-            for ci, si in idl:
-                by_signal = by_signal + ci * segment_exp_integral(
-                    sp * kp + ss * ks + si * ki, length)
-            by_pump = by_pump + cs * by_signal
-        total = total + cp * by_pump
-    return total
 
 
 def _wrap_phase(x):
@@ -214,11 +168,7 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                         + fi["log_ratio"][(idl,) + elems])
         r_safe = np.where(r == 0, 1.0, r)
         series[near] = lower[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
-    total = np.sum(series * weight, axis=(0, 1, 2))
-
-    for lead in ("lead_in", "lead_out"):
-        if lead in fp:
-            total = total + _wave_sum(fp, fs, fi, lead)[0, 0, 0]
+    total = _add_leads(np.sum(series * weight, axis=(0, 1, 2)), fp, fs, fi)
 
     edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
@@ -228,6 +178,14 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                               f"sum: a field grows by e^{growth:.1f} across it")
         total[edge] = _overlap_segment_sum(spec, fp["omega"][edge], fs["omega"][edge],
                                            fi["omega"][edge])
+    return total
+
+
+def _add_leads(total, fp: dict, fs: dict, fi: dict):
+    """total plus the integral over each lead that has a length (one mode)."""
+    for lead in ("lead_in", "lead_out"):
+        if lead in fp:
+            total = total + _wave_sum(fp, fs, fi, lead)[0, 0, 0]
     return total
 
 
@@ -264,27 +222,43 @@ def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
              + fi[angle][:, None, None, :])
     half = (fp[turn][:, :2, None] * fs[turn][:, None, :])[:, :, :, None] \
         * fi[turn][:, None, None, :]
-    sinc = _sinc(theta, np.sin(theta))
+    sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta != 0)
     half.real *= sinc
     half.imag *= sinc
     return np.concatenate([half, np.conj(half[:, :1, ::-1, ::-1])], axis=1)
 
 
 def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
-    """J element-wise as a sum over every uniform segment of the structure.
+    """J element-wise as the Bloch kernel's per-period weight (_wave_sum)
+    taken with each period's own amplitudes, summed over the periods, plus
+    the leads: the kernel's path for band-edge elements, which a pump sweep
+    across the stopband meets.
 
-    Fields come from the forward segment recursion, which amplifies rounding
-    in the growing mode of deep stopbands. This is the Bloch kernel's path
-    for band-edge elements, which a pump sweep across the stopband meets,
-    and its test oracle; its fields cost O(log N) array operations.
+    Fields come from the forward segment recursion (O(log N) array
+    operations), which amplifies rounding in the growing mode of deep
+    stopbands. Elements are taken max(1, _CHUNK // N) at a time, which
+    bounds the memory, and an element's J does not depend on the others.
     """
-    _, lengths, n_effs, Ap, Bp = _segment_amplitudes(spec, omega_p, "left")
-    _, _, _, As, Bs = _segment_amplitudes(spec, omega_s, "left")
-    _, _, _, Ai, Bi = _segment_amplitudes(spec, omega_i, "right")
-    kp, ks, ki = (np.outer(n_effs, w) / C0 for w in (omega_p, omega_s, omega_i))
-    terms = _plane_wave_integral((Ap, Bp), (Ap, Bp), (As, Bs), (Ai, Bi),
-                                 kp, ks, ki, lengths[:, None])
-    return np.sum(terms, axis=0)
+    out = np.empty(len(omega_p), dtype=complex)
+    step = max(1, _CHUNK // spec.n_periods)
+    for lo in range(0, out.size, step):
+        fp, fs, fi = (_segment_factors(spec, w[lo:lo + step], role)
+                      for w, role in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler")))
+        periods = _wave_sum(fp, fs, fi, "period")[0, 0, 0]     # (elements, period)
+        out[lo:lo + step] = _add_leads(np.sum(periods, axis=-1), fp, fs, fi)
+    return out
+
+
+def _segment_factors(spec: GratingSpec, omega: np.ndarray, role: str) -> dict:
+    """The tables of _fold for the field of `role` as the segment recursion
+    gives it: one mode, whose amplitudes in each period lie on a trailing
+    period axis."""
+    _, _, _, a, b = _segment_amplitudes(spec, omega, "right" if role == "idler" else "left")
+    amps = np.stack([a, b], axis=1)                  # (segment, fwd/bwd, elements)
+    n, first = spec.n_periods, int(spec.lead_in_length > 0)
+    period = np.moveaxis(amps[first:first + 2 * n].reshape((n, 2, 2, -1)), 0, -1)
+    k = np.stack([wavenumber(spec.n_lo, omega), wavenumber(spec.n_hi, omega)])
+    return _fold(spec, role, k, np.ascontiguousarray(period)[None], amps[0], amps[-1])
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -344,24 +318,18 @@ def _power(log_ratio, n: int):
 
 def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
     """The per-frequency factors of one field ('pump', 'signal' or 'idler')
-    that _bloch_chunk reads, with the frequency axis last. Mode axes come
-    first; for the pump they run over the mode pairs of _pairs. The signal's
-    factors are conjugated, as J reads it.
+    that _bloch_chunk reads, with the frequency axis last: the tables of
+    _fold, whose period amplitudes are coef times each mode's, and
 
     - ratio, log_ratio:  (mode,)  per-period eigenvalue, and its log
     - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
                      numerator of a combination's geometric series is the
                      product of num[0] less that of num[1]
-    - period:        (mode, segment, wave)  coef times the amplitude of each
-                     plane wave of _WAVES in each segment of a period; the
-                     pump's carry the segment length and pair multiplicity
-    - period_angle:  (segment, wave)  each wave's wavenumber times half the
-                     segment length, and period_turn its exp(i angle)
-    - lead_in, lead_out (with _angle, _turn): the same for the field itself
-                     in that lead, one segment of one mode; present only if
-                     the lead has a length
     - omega, band_edge, growth:  for the band-edge fallback; growth is
                      N * max Re(log_ratio), the field's growth across the grating
+
+    Mode axes come first; for the pump they run over the mode pairs of
+    _pairs. The signal's factors are conjugated, as J reads it.
     """
     n = spec.n_periods
     lr = field.log_ratio.T
@@ -379,26 +347,49 @@ def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
              "growth": n * np.max(field.log_ratio.real, axis=-1),
              "ratio": ratio, "log_ratio": lr, "num": num}
 
-    d_lo = spec.duty_cycle * spec.period
-    k = field.k.T
-    parts = {"period": (np.array([d_lo, spec.period - d_lo]), k,
-                        np.moveaxis(field.coef[..., None, None] * field.segments, 0, -1))}
-    for name, length, state in (("lead_in", spec.lead_in_length, field.lead_in),
-                                ("lead_out", spec.lead_out_length, field.lead_out)):
-        if length > 0:
-            parts[name] = (np.array([length]), k[1:], state.T[None, None])
-    waves = np.array(_WAVES[role])
-    for name, (lengths, k, amps) in parts.items():
-        if role == "pump":
-            amps = np.stack([w * _pump_waves(amps[a], amps[b])
-                             for a, b, w in _pairs(len(amps))]) * lengths[:, None, None]
-        elif role == "signal":
-            amps = np.conj(amps)
-        angle = 0.5 * lengths[:, None, None] * waves[:, None] * k[:, None]
-        table.update({name: amps, name + "_angle": angle,
-                      name + "_turn": np.exp(1j * angle)})
+    table.update(_fold(spec, role, field.k.T,
+                       np.moveaxis(field.coef[..., None, None] * field.segments, 0, -1),
+                       field.lead_in.T, field.lead_out.T))
     # contiguous, so that the kernel's inner loops run along frequency
     return {name: np.ascontiguousarray(v) for name, v in table.items()}
+
+
+def _fold(spec: GratingSpec, role: str, k, period, lead_in, lead_out) -> dict:
+    """The tables of one field that _wave_sum reads, from the wavenumbers k
+    (segment, elements) of a period's two segments, the amplitudes `period`
+    (mode, segment, fwd/bwd, elements, ...) at each segment's left edge and
+    the lead states (fwd/bwd, elements):
+
+    - period:        (mode, segment, wave, elements, ...)  the amplitude of
+                     each plane wave of _WAVES; the pump's are those of each
+                     mode pair of _pairs times the segment length, the
+                     signal's are conjugated
+    - period_angle:  (segment, wave, elements, 1, ...)  each wave's wavenumber
+                     times half the segment length, and period_turn its exp(i angle)
+    - lead_in, lead_out (with _angle, _turn): the same for the field in that
+                     lead, one segment of one mode; present only if the lead
+                     has a length
+    """
+    d_lo = spec.duty_cycle * spec.period
+    parts = {"period": (np.array([d_lo, spec.period - d_lo]), k, period)}
+    for name, length, state in (("lead_in", spec.lead_in_length, lead_in),
+                                ("lead_out", spec.lead_out_length, lead_out)):
+        if length > 0:
+            parts[name] = (np.array([length]), k[1:], state[None, None])
+    table = {}
+    for name, (lengths, k, amps) in parts.items():
+        trailing = (1,) * (amps.ndim - 3)
+        k = np.reshape(k, k.shape + trailing[1:])      # length 1 past the elements
+        lengths = np.reshape(lengths, (-1, 1) + trailing)      # (segment, wave, ...)
+        if role == "pump":
+            amps = np.stack([w * _pump_waves(amps[a], amps[b])
+                             for a, b, w in _pairs(len(amps))]) * lengths
+        elif role == "signal":
+            amps = np.conj(amps)
+        angle = 0.5 * lengths * np.reshape(_WAVES[role], (-1,) + trailing) * k[:, None]
+        table.update({name: amps, name + "_angle": angle,
+                      name + "_turn": np.exp(1j * angle)})
+    return table
 
 
 def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

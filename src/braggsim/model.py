@@ -411,6 +411,7 @@ class NonlinearParams:
 
 
 _FMT = "{:.8e}"  # fixed scientific notation, 9 significant digits
+_FMT_PERCENT = "%.8e"  # the same format, for the % operator on a row template
 
 
 @dataclass(frozen=True)
@@ -437,12 +438,11 @@ class SweepResult:
         return self.columns[name]
 
     def to_csv_text(self) -> str:
-        names = [self.x_name, *self.columns]
-        rows = [",".join(names)]
+        """The header and every row, formatted with one % operation."""
         series = [self.x, *self.columns.values()]
-        for i in range(self.x.size):
-            rows.append(",".join(_FMT.format(s[i]) for s in series))
-        return "\n".join(rows) + "\n"
+        template = ",".join([_FMT_PERCENT] * len(series)) + "\n"
+        rows = template * self.x.size % tuple(np.column_stack(series).ravel().tolist())
+        return ",".join([self.x_name, *self.columns]) + "\n" + rows
 
     def to_json_obj(self) -> dict:
         out = {self.x_name: [_FMT.format(v) for v in self.x]}

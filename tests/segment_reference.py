@@ -3,6 +3,10 @@
 `reference_segment_amplitudes` is the segment recursion taken one segment at
 a time. `transfer._segment_amplitudes` computes the same amplitudes by
 doubling over periods; the tests pin it to this form.
+
+`overlap_segment_sum` is the oracle of record for the overlap J: the twelve
+plane-wave terms of `plane_wave_integral` integrated over every uniform
+segment, written independently of the Bloch kernel's factor tables.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from braggsim import model, transfer
+from braggsim.constants import SPEED_OF_LIGHT as C0
 
 
 def reference_layer_stack(spec):
@@ -82,3 +87,61 @@ def upper_band_edge(spec):
             inside = mid
         else:
             outside = mid
+
+
+def segment_exp_integral(kappa, length):
+    """integral_0^length exp(i kappa u) du for real kappa, stable for kappa -> 0.
+
+    Written as length * exp(i theta) * sin(theta) / theta with theta =
+    kappa * length / 2, from the real sine and cosine, so the phase is
+    explicit and the modulus never suffers cancellation.
+    """
+    theta = 0.5 * np.asarray(kappa) * length
+    sin = np.sin(theta)
+    sinc = _sinc(theta, sin)
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.multiply(sinc, np.cos(theta), out=out.real)
+    np.multiply(sinc, sin, out=out.imag)
+    return length * out
+
+
+def _sinc(theta, sin):
+    """sin(theta) / theta from theta and its sine; 1 at theta = 0."""
+    return np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0)
+
+
+def plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
+    """integral_0^length of g_1 g_2 conj(g_s) g_i over one uniform segment,
+    where each g = fwd * exp(i k u) + bwd * exp(-i k u) is given as its
+    (fwd, bwd) pair: three pump plane waves times two each for signal and
+    idler, twelve terms in total. Arguments broadcast."""
+    pump = ((pump1[0] * pump2[0], 2.0),
+            (pump1[0] * pump2[1] + pump1[1] * pump2[0], 0.0),
+            (pump1[1] * pump2[1], -2.0))
+    sig = ((np.conj(signal[0]), -1.0), (np.conj(signal[1]), 1.0))
+    idl = ((idler[0], 1.0), (idler[1], -1.0))
+    # nested sums: each coefficient multiplies only what its factor spans
+    total = 0.0
+    for cp, sp in pump:
+        by_pump = 0.0
+        for cs, ss in sig:
+            by_signal = 0.0
+            for ci, si in idl:
+                by_signal = by_signal + ci * segment_exp_integral(
+                    sp * kp + ss * ks + si * ki, length)
+            by_pump = by_pump + cs * by_signal
+        total = total + cp * by_pump
+    return total
+
+
+def overlap_segment_sum(spec, omega_p, omega_s, omega_i):
+    """J element-wise as a sum over every uniform segment of the structure,
+    with the fields of the forward segment recursion. Its memory grows as
+    segments x elements, so callers pass a few hundred elements at a time."""
+    _, lengths, n_effs, Ap, Bp = transfer._segment_amplitudes(spec, omega_p, "left")
+    _, _, _, As, Bs = transfer._segment_amplitudes(spec, omega_s, "left")
+    _, _, _, Ai, Bi = transfer._segment_amplitudes(spec, omega_i, "right")
+    kp, ks, ki = (np.outer(n_effs, w) / C0 for w in (omega_p, omega_s, omega_i))
+    terms = plane_wave_integral((Ap, Bp), (Ap, Bp), (As, Bs), (Ai, Bi),
+                                kp, ks, ki, lengths[:, None])
+    return np.sum(terms, axis=0)

@@ -129,6 +129,26 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,section,key,value", [
+    ("spectrum", "spectrum", "start_nm", 0.0),
+    ("spectrum", "spectrum", "start_nm", -1542.0),
+    ("stim-sweep", "pump_sweep", "start_nm", 0.0),
+    ("stim-sweep", "pump_sweep", "start_nm", -1544.0),
+    ("stim-sweep", "pump_sweep", "signal_nm", 0.0),
+    ("stim-sweep", "pump_sweep", "signal_nm", -1560.0),
+])
+def test_non_positive_wavelength_is_config_error(tmp_path, capsys, subcommand,
+                                                 section, key, value):
+    broken = json.loads(json.dumps(TINY))
+    broken[section][key] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}:")
+    assert not out.exists()
+
+
 def reference_variant(tmp_path, edit):
     """The bundled reference config with `edit` applied, written to a file."""
     raw = cli.load_config_dict(cli.bundled_config_path())
@@ -263,6 +283,18 @@ def test_stim_sweep_csv_and_determinism(tiny_config, tmp_path):
     assert run("stim-sweep", "--config", str(tiny_config), "--out", str(out),
                "--force") == 0
     assert (out / "stim_sweep.csv").read_bytes() == first
+
+
+def test_stim_sweep_without_a_dip_writes_nothing(tmp_path, capsys):
+    # gamma = 0 makes every rate zero, so the dip contrast is undefined
+    broken = json.loads(json.dumps(TINY))
+    broken["nonlinear"]["gamma_per_w_m"] = 0.0
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    out = tmp_path / "o"
+    assert run("stim-sweep", "--config", str(path), "--out", str(out)) == 3
+    assert "dip contrast undefined" in capsys.readouterr().err
+    assert not (out / "stim_sweep.csv").exists()
 
 
 def test_overwrite_requires_force(tiny_config, tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from braggsim import fwm, model, transfer
-from segment_reference import upper_band_edge
+from segment_reference import overlap_segment_sum, segment_exp_integral, upper_band_edge
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
                         n_lo=2.414, delta_n=3.4985e-3)
@@ -44,19 +44,19 @@ def test_wavelength_domain_enforced():
 
 class TestSegmentExpIntegral:
     def test_zero_kappa(self):
-        assert fwm.segment_exp_integral(0.0, 3.2e-6) == pytest.approx(3.2e-6)
+        assert segment_exp_integral(0.0, 3.2e-6) == pytest.approx(3.2e-6)
 
     @pytest.mark.parametrize("kappa,length", [
         (1.0e5, 2.0e-6), (-3.7e6, 1.6e-7), (9.9e6, 5.0e-7)])
     def test_matches_quadrature(self, kappa, length):
         z = np.linspace(0.0, length, 20001)
         direct = np.trapezoid(np.exp(1j * kappa * z), z)
-        assert fwm.segment_exp_integral(kappa, length) == pytest.approx(
+        assert segment_exp_integral(kappa, length) == pytest.approx(
             direct, rel=1e-8)
 
     def test_conjugate_symmetry(self):
-        val = fwm.segment_exp_integral(2.2e6, 7.7e-7)
-        assert fwm.segment_exp_integral(-2.2e6, 7.7e-7) == pytest.approx(
+        val = segment_exp_integral(2.2e6, 7.7e-7)
+        assert segment_exp_integral(-2.2e6, 7.7e-7) == pytest.approx(
             np.conj(val), rel=1e-12)
 
 
@@ -212,8 +212,8 @@ class TestPumpSweepDip:
 def oracle(spec, w_p, w_s, w_i, chunk=256):
     """Segment-sum J, evaluated in chunks of frequencies to bound memory."""
     return np.concatenate([
-        fwm._overlap_segment_sum(spec, w_p[i:i + chunk], w_s[i:i + chunk],
-                                 w_i[i:i + chunk])
+        overlap_segment_sum(spec, w_p[i:i + chunk], w_s[i:i + chunk],
+                            w_i[i:i + chunk])
         for i in range(0, w_p.size, chunk)])
 
 
@@ -358,6 +358,21 @@ class TestBandEdge:
         assert max_rel(fwm.overlap_elements(REF, *args), closed_form) < 1e-9
         with pytest.raises(model.OutOfDomain, match="segment sum"):
             fwm.overlap_elements(replace(REF, n_periods=24000), *args)
+
+    @pytest.mark.parametrize("seed,n_periods,sign", [
+        (11, 10, -1.0), (12, 57, 1.0), (13, 240, -1.0), (14, 911, 1.0)])
+    def test_segment_sum_with_leads(self, monkeypatch, seed, n_periods, sign):
+        # with every element flagged, the leads of the random specs reach
+        # the band-edge path's lead sum
+        spec = random_spec(seed, n_periods, sign)
+        assert spec.lead_in_length > 0 and spec.lead_out_length > 0
+        args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 101)
+        closed_form = fwm.overlap_elements(spec, *args)
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        assert transfer._bloch_fields(spec, args[0], "left").band_edge.all()
+        value = fwm.overlap_elements(spec, *args)
+        assert max_rel(value, oracle(spec, *args)) < 1e-9
+        assert max_rel(value, closed_form) < 1e-9
 
     @pytest.mark.filterwarnings("error")
     def test_exactly_degenerate_modes(self, band_edge, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 
 from braggsim import fwm, model, quantum, transfer
 from braggsim.constants import HBAR
+from segment_reference import overlap_segment_sum
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
                         n_lo=2.414, delta_n=3.4985e-3)
@@ -113,8 +114,8 @@ class TestWaveguideState:
         grid2 = IDLER_WIN.grid(21)
         table = fwm.overlap_table(REF, grid1.points, grid2.points)
         w1, w2 = np.meshgrid(grid1.points, grid2.points, indexing="ij")
-        oracle = fwm._overlap_segment_sum(REF, ((w1 + w2) / 2.0).ravel(),
-                                          w1.ravel(), w2.ravel())
+        oracle = overlap_segment_sum(REF, ((w1 + w2) / 2.0).ravel(),
+                                     w1.ravel(), w2.ravel())
         np.testing.assert_allclose(table.ravel(), oracle, rtol=1e-9, atol=0.0)
 
     def test_cw_limit_rate_identity(self):
@@ -288,6 +289,28 @@ class TestChunkedTable:
         np.testing.assert_allclose(table[row], clean[row], rtol=1e-9, atol=0.0)
         others = np.arange(w1.size) != row
         np.testing.assert_array_equal(table[others], clean[others])
+
+    def test_band_edge_row_memory(self, monkeypatch):
+        # the band-edge path takes its elements a few at a time, so a 201^2
+        # table with one band-edge row stays within a table's usual bound
+        # (254 MB when the row was summed over every segment at once)
+        w1, w2 = exact_grids(201, 201)
+        row = task_rows(w2.size)
+        exact = transfer._bloch_cosine
+
+        def degenerate(spec, omegas):
+            sign, q = exact(spec, omegas)
+            return sign, np.where(omegas == w1[row], 0.0, q)
+
+        monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+        assert transfer._bloch_fields(REF, w1[row:row + 1], "left").band_edge.all()
+        tracemalloc.start()
+        try:
+            fwm.overlap_table(REF, w1, w2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     @pytest.mark.parametrize("n1,n2", [(97, 101), (201, 201)])
     def test_table_does_not_depend_on_thread_count(self, monkeypatch, n1, n2):
