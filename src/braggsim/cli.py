@@ -220,6 +220,9 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     if stop <= start or step <= 0:
         raise ConfigError("spectrum: needs stop_nm > start_nm and step_pm > 0")
     n_points = int(round((stop - start) / step)) + 1
+    if n_points < 2:
+        raise ConfigError(f"spectrum.step_pm: gives fewer than 2 points from start_nm "
+                          f"to stop_nm, got {step * 1e12:g}")
     spectrum_args = (0.5 * (start + stop), stop - start, n_points)
 
     ps = _section(raw, "pump_sweep")

@@ -262,30 +262,37 @@ def _segment_factors(spec: GratingSpec, omega: np.ndarray, role: str) -> dict:
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
-    """J evaluated element-wise for equal-length frequency arrays.
+    """J evaluated element-wise for 1-D frequency arrays that broadcast to
+    one length (a sweep passes its one signal frequency as one element).
 
-    The three fields are solved once per frequency as Bloch modes of the
-    grating, and the z-integral is summed over the periods in closed form,
-    so the cost does not grow with the period count.
+    The three fields are solved once per given frequency as Bloch modes of
+    the grating, and the z-integral is summed over the periods in closed
+    form, so the cost does not grow with the period count.
     """
-    omega_p = np.atleast_1d(np.asarray(omega_p, dtype=float))
-    omega_s = np.atleast_1d(np.asarray(omega_s, dtype=float))
-    omega_i = np.atleast_1d(np.asarray(omega_i, dtype=float))
-    if not omega_p.shape == omega_s.shape == omega_i.shape:
-        raise InvalidArgument("frequency arrays must have matching shapes")
-    tables = _field_tables(spec, omega_p.ravel(), omega_s.ravel(), omega_i.ravel())
-    return _bloch_overlap(spec, tables).reshape(omega_p.shape)
+    omegas = [np.atleast_1d(np.asarray(w, dtype=float)) for w in (omega_p, omega_s, omega_i)]
+    try:
+        (size,) = np.broadcast_shapes(*(w.shape for w in omegas))
+    except ValueError:
+        raise InvalidArgument("frequency arrays must be 1-D and broadcast to one length") from None
+    tables = tuple({name: np.broadcast_to(v, v.shape[:-1] + (size,)) for name, v in t.items()}
+                   for t in _field_tables(spec, *omegas))
+    return _bloch_overlap(spec, tables)
 
 
 def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
     """The (pump, signal, idler) factor tables of _field_factors for 1-D
-    frequency arrays, each frequency checked against the model domain; the
-    idler is launched from the right facet."""
+    frequency arrays, each frequency checked against the model domain. The
+    three fields are solved in one _bloch_fields call, the idler launched
+    from the right facet."""
     for w, label in ((omega_p, "pump"), (omega_s, "signal"), (omega_i, "idler")):
         _check_domain(w, label)
-    return (_field_factors(spec, _bloch_fields(spec, omega_p, "left"), "pump"),
-            _field_factors(spec, _bloch_fields(spec, omega_s, "left"), "signal"),
-            _field_factors(spec, _bloch_fields(spec, omega_i, "right"), "idler"))
+    sizes = [omega_p.size, omega_s.size, omega_i.size]
+    field = _bloch_fields(spec, np.concatenate([omega_p, omega_s, omega_i]),
+                          np.repeat([False, False, True], sizes))
+    bounds = np.cumsum([0] + sizes)
+    return tuple(_field_factors(spec, BlochField(**{name: v[lo:hi] for name, v
+                                                   in vars(field).items()}), role)
+                 for lo, hi, role in zip(bounds, bounds[1:], ("pump", "signal", "idler")))
 
 
 # plane waves of each field's share of the integrand within a uniform
@@ -484,7 +491,7 @@ def pump_sweep(spec: GratingSpec, params: NonlinearParams, pump_wavelengths,
     if lam_p.ndim != 1 or lam_p.size < 1:
         raise InvalidArgument("pump_wavelengths must be a 1-D array")
     w_p = 2.0 * math.pi * C0 / lam_p
-    w_s = np.full_like(w_p, omega_from_wavelength(signal_wavelength))
+    w_s = np.array([omega_from_wavelength(signal_wavelength)])
     w_i = 2.0 * w_p - w_s
     power, _, per_mw2 = _idler_response(spec, params,
                                         overlap_elements(spec, w_p, w_s, w_i), w_i)
@@ -522,7 +529,10 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     off = np.abs(x - x[imin]) > exclude_halfwidth
     if not np.any(off):
         raise InvalidArgument("no baseline points outside the excluded band")
-    baseline = float(np.median(y[off]))
+    # the median as np.median forms it, which would import numpy.ma
+    ordered = np.sort(y[off])
+    mid = ordered.size // 2
+    baseline = float(ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
     if y[imin] <= 0 or baseline <= 0:
         raise InvalidArgument("dip contrast undefined for non-positive values")
     return DipReport(

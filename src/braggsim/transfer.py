@@ -58,6 +58,26 @@ def _prop_stack(k, length: float) -> np.ndarray:
     return out
 
 
+def _mul(a, b) -> np.ndarray:
+    """Stacked 2x2 products a @ b, where b may also be a stack of 2x1
+    columns, written as two broadcast outer products: numpy's matmul makes
+    one BLAS call per 2x2 matrix."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _mat_power(m, n: int) -> np.ndarray:
+    """m**n for n >= 1 by repeated squaring, multiplied in the order of
+    np.linalg.matrix_power."""
+    result = None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            result = m if result is None else _mul(result, m)
+        if not n:
+            return result
+        m = _mul(m, m)
+
+
 def _iface_stack(k1, k2) -> np.ndarray:
     """Step from a medium with k1 (left) to one with k2 (right)."""
     k1 = np.asarray(k1, dtype=complex)
@@ -83,9 +103,8 @@ def unit_cell_matrix(spec: GratingSpec, omega) -> np.ndarray:
     k_hi = wavenumber(spec.n_hi, omega)
     d_lo = spec.duty_cycle * spec.period
     d_hi = spec.period - d_lo
-    m = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, d_lo)
-    m = m @ _iface_stack(k_lo, k_hi) @ _prop_stack(k_hi, d_hi)
-    return m
+    m = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, d_lo))
+    return _mul(_mul(m, _iface_stack(k_lo, k_hi)), _prop_stack(k_hi, d_hi))
 
 
 def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
@@ -93,11 +112,11 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
     shape omega.shape + (2, 2)."""
     omega = np.asarray(omega, dtype=float)
     k_hi = wavenumber(spec.n_hi, omega)
-    m = np.linalg.matrix_power(unit_cell_matrix(spec, omega), spec.n_periods)
+    m = _mat_power(unit_cell_matrix(spec, omega), spec.n_periods)
     if spec.lead_in_length > 0:
-        m = _prop_stack(k_hi, spec.lead_in_length) @ m
+        m = _mul(_prop_stack(k_hi, spec.lead_in_length), m)
     if spec.lead_out_length > 0:
-        m = m @ _prop_stack(k_hi, spec.lead_out_length)
+        m = _mul(m, _prop_stack(k_hi, spec.lead_out_length))
     return m
 
 
@@ -219,28 +238,31 @@ def _period_maps(spec: GratingSpec, omegas: np.ndarray):
     k_hi = wavenumber(spec.n_hi, omegas)
     d_lo = spec.duty_cycle * spec.period
     into_lo = _iface_stack(k_lo, k_hi)
-    lo_to_hi = _iface_stack(k_hi, k_lo) @ _prop_stack(k_lo, -d_lo)
-    fwd = _prop_stack(k_hi, -(spec.period - d_lo)) @ lo_to_hi @ into_lo
+    lo_to_hi = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, -d_lo))
+    fwd = _mul(_mul(_prop_stack(k_hi, -(spec.period - d_lo)), lo_to_hi), into_lo)
     return k_lo, k_hi, into_lo, lo_to_hi, fwd
 
 
-def _facet_states(spec: GratingSpec, omegas: np.ndarray, side: str):
+def _facet_states(spec: GratingSpec, omegas: np.ndarray, side):
     """Exact states of the field launched from `side` (see
     _segment_amplitudes), from structure_matrix: (start, entry, exit_) at
-    z = 0, entering the grating and at the grating's right end."""
+    z = 0, entering the grating and at the grating's right end. `side` is
+    'left', 'right' or a boolean array over the frequencies, True where the
+    field is launched from the right."""
+    if isinstance(side, str):
+        if side not in ("left", "right"):
+            raise InvalidArgument("side must be 'left' or 'right'")
+        side = side == "right"
     m = structure_matrix(spec, omegas)
     k_hi = wavenumber(spec.n_hi, omegas)
     one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
-    if side == "left":
-        start = np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1)
-        facet_r = np.stack([1.0 / m[..., 0, 0], zero], axis=-1)
-    elif side == "right":
-        start = np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1)
-        facet_r = np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1)
-    else:
-        raise InvalidArgument("side must be 'left' or 'right'")
-    entry = (_prop_stack(k_hi, -spec.lead_in_length) @ start[..., None])[..., 0]
-    exit_ = (_prop_stack(k_hi, spec.lead_out_length) @ facet_r[..., None])[..., 0]
+    right = np.asarray(side)[..., None]
+    start = np.where(right, np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1),
+                     np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1))
+    facet_r = np.where(right, np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1),
+                       np.stack([1.0 / m[..., 0, 0], zero], axis=-1))
+    entry = _mul(_prop_stack(k_hi, -spec.lead_in_length), start[..., None])[..., 0]
+    exit_ = _mul(_prop_stack(k_hi, spec.lead_out_length), facet_r[..., None])[..., 0]
     return start, entry, exit_
 
 
@@ -263,10 +285,10 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     n = spec.n_periods
     states, power = entry[None], fwd            # power = fwd^len(states)
     while len(states) <= n:
-        states = np.concatenate([states, (power @ states[..., None])[..., 0]])
-        power = power @ power
-    into_segments = np.stack([into_lo, lo_to_hi @ into_lo])
-    amps = (into_segments @ states[:n, None, ..., None])[..., 0]
+        states = np.concatenate([states, _mul(power, states[..., None])[..., 0]])
+        power = _mul(power, power)
+    into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
+    amps = _mul(into_segments, states[:n, None, ..., None])[..., 0]
 
     d_lo = spec.duty_cycle * spec.period
     parts = [(np.tile([spec.n_lo, spec.n_hi], n), np.tile([d_lo, spec.period - d_lo], n),
@@ -340,9 +362,9 @@ def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
     return np.where(one_plus < one_minus, -1.0, 1.0), np.minimum(one_plus, one_minus)
 
 
-def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
-    """Bloch-mode form of the field launched from `side` ('left' or 'right',
-    unit amplitude from that ambient; see _segment_amplitudes)."""
+def _bloch_fields(spec: GratingSpec, omegas, side) -> BlochField:
+    """Bloch-mode form of the field launched from `side` (unit amplitude from
+    that ambient; 'left', 'right' or per frequency, see _facet_states)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     k_lo, k_hi, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
 
@@ -365,9 +387,9 @@ def _bloch_fields(spec: GratingSpec, omegas, side: str) -> BlochField:
     modes[..., 1, 0] = np.where(first, plus, f10)
     modes[..., 0, 1] = np.where(first, -plus, f01)
     modes[..., 1, 1] = np.where(first, f10, minus)
-    lo = into_lo @ modes
-    segments = np.stack([lo, lo_to_hi @ lo], axis=-1)     # (..., fwd/bwd, mode, seg)
-    segments = np.moveaxis(segments, -3, -1)              # (..., mode, seg, fwd/bwd)
+    lo = _mul(into_lo, modes)
+    segments = np.stack([lo, _mul(lo_to_hi, lo)], axis=-1)  # (..., fwd/bwd, mode, seg)
+    segments = np.moveaxis(segments, -3, -1)                 # (..., mode, seg, fwd/bwd)
 
     start, entry, exit_ = _facet_states(spec, omegas, side)
 

@@ -149,6 +149,19 @@ def test_non_positive_wavelength_is_config_error(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "design"])
+def test_spectrum_step_wider_than_the_span_is_config_error(tmp_path, capsys, subcommand):
+    # every subcommand builds the whole scenario, so design refuses it too
+    broken = json.loads(json.dumps(TINY))
+    broken["spectrum"]["step_pm"] = 1e6
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: spectrum.step_pm:")
+    assert not out.exists()
+
+
 def reference_variant(tmp_path, edit):
     """The bundled reference config with `edit` applied, written to a file."""
     raw = cli.load_config_dict(cli.bundled_config_path())
@@ -524,20 +537,26 @@ def test_thread_count_without_affinity(monkeypatch):
     assert threads.thread_count() == (os.cpu_count() or 1)
 
 
-def test_design_does_not_import_concurrent_futures(tiny_config, tmp_path):
-    # design imports fwm; a thread pool module loaded at import time would
-    # cost every short command its start-up
+@pytest.mark.parametrize("subcommand,unloaded", [
+    ("design", ["braggsim.quantum", "concurrent.futures"]),
+    ("stim-sweep", ["numpy.ma", "braggsim.quantum", "concurrent.futures"]),
+    ("report", ["numpy.ma"]),
+], ids=["design", "stim-sweep", "report"])
+def test_commands_leave_unused_modules_unloaded(tmp_path, subcommand, unloaded):
+    # every run pays its imports at start-up: numpy.ma costs 15-17 ms, and
+    # neither design nor stim-sweep needs the thread pool or quantum; every
+    # command imports fwm, so its import-time cost is checked too
     import subprocess
     import sys
     code = ("import sys; from braggsim import cli; "
-            f"code = cli.main(['design', '--config', {str(tiny_config)!r}, "
+            f"code = cli.main([{subcommand!r}, '--config', str(cli.bundled_config_path()), "
             f"'--out', {str(tmp_path)!r}, '--quiet']); "
-            "print(code, 'braggsim.fwm' in sys.modules, "
-            "'concurrent.futures' in sys.modules)")
+            f"print(code, 'braggsim.fwm' in sys.modules, "
+            f"*(name in sys.modules for name in {unloaded!r}))")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env={"PYTHONPATH": src})
-    assert done.stdout.split() == ["0", "True", "False"], done.stderr
+    assert done.stdout.split() == ["0", "True"] + ["False"] * len(unloaded), done.stderr
 
 
 def test_spectrum_is_computed_once(tiny_config, tmp_path, monkeypatch):

@@ -205,6 +205,23 @@ class TestPumpSweepDip:
             fwm.dip_report(sweep, exclude_halfwidth=100.0)
 
 
+@pytest.mark.parametrize("size,levels", [(41, None), (40, None), (41, 3), (40, 3)],
+                         ids=["odd", "even", "odd-tied", "even-tied"])
+def test_dip_baseline_equals_np_median(size, levels):
+    # the baseline is the median of the off-band points, formed as np.median
+    # forms it, bit for bit
+    rng = np.random.default_rng(size + 10 * (levels or 0))
+    if levels is None:
+        y = rng.uniform(1.0, 2.0, size + 1)
+    else:
+        y = 1.0 + rng.integers(0, levels, size + 1) / 7.0
+    dip = size // 2
+    y[dip] = 0.5
+    sweep = model.SweepResult(x_name="x", x=np.arange(size + 1.0), columns={"y": y})
+    report = fwm.dip_report(sweep, column="y", exclude_halfwidth=0.5)
+    assert report.baseline_median == np.median(np.delete(y, dip))
+
+
 # --------------------------------------------------------------------------
 # closed-form Bloch-mode overlap against the segment-sum oracle
 
@@ -242,6 +259,16 @@ def random_spec(seed, n_periods, sign):
 
 
 class TestBlochOverlap:
+    def test_one_signal_broadcasts_bitwise(self):
+        # a sweep's one signal frequency is solved once and broadcast
+        w_p, w_s, w_i = pump_scan(1542e-9, 1550e-9, 41)
+        np.testing.assert_array_equal(fwm.overlap_elements(REF, w_p, w_s[:1], w_i),
+                                      fwm.overlap_elements(REF, w_p, w_s, w_i))
+
+    def test_lengths_must_broadcast(self):
+        with pytest.raises(model.InvalidArgument):
+            fwm.overlap_elements(REF, [W_P] * 3, [W_S] * 2, [2 * W_P - W_S] * 3)
+
     def test_reference_pump_sweep(self):
         args = pump_scan(1541.9e-9, 1550e-9, 1621, signal=1560.0e-9)
         assert max_rel(fwm.overlap_elements(REF, *args), oracle(REF, *args)) < 1e-9

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braggsim import model, transfer
+from braggsim.constants import SPEED_OF_LIGHT as C0
 from segment_reference import reference_segment_amplitudes, upper_band_edge
 
 REF = model.GratingSpec(period=320e-9, duty_cycle=0.5, n_periods=2000,
@@ -80,6 +81,104 @@ def test_interface_matrix_elements():
 def test_interface_pair_cancels():
     m = transfer._iface_stack(2.0, 3.5) @ transfer._iface_stack(3.5, 2.0)
     np.testing.assert_allclose(m, np.eye(2), atol=1e-14)
+
+
+def random_stack(rng, n):
+    """n random unitary 2x2 complex matrices."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    return q
+
+
+def periodic_stack(rng, n):
+    """n random matrices of Gaussian integers of order 3, 4 or 6: every power
+    is a small Gaussian-integer matrix, so every product is exact."""
+    bases = np.array([[[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]]])
+    a, b = (rng.integers(-2, 3, (n, 2)) @ [1, 1j] for _ in range(2))
+    upper = np.zeros((n, 2, 2), dtype=complex) + np.eye(2)
+    lower = upper.copy()
+    upper[:, 0, 1], lower[:, 1, 0] = a, b
+    inverse = np.linalg.inv(upper @ lower).round()
+    return upper @ lower @ bases[rng.integers(0, 3, n)] @ inverse
+
+
+def max_rel_norm(value, reference):
+    """Largest error over the stack, relative to each matrix's largest entry."""
+    scale = np.max(np.abs(reference), axis=(-2, -1), keepdims=True)
+    return float(np.max(np.abs(value - reference) / scale))
+
+
+@pytest.mark.parametrize("n", [1, 3, 1621])
+def test_written_out_product_equals_matmul(n):
+    rng = np.random.default_rng(n)
+    a, b = random_stack(rng, n), random_stack(rng, n)
+    column = b[..., :1]
+    assert max_rel_norm(transfer._mul(a, b), a @ b) < 1e-13
+    assert transfer._mul(a, column).shape == (n, 2, 1)
+    assert max_rel_norm(transfer._mul(a, column), a @ column) < 1e-13
+    # a lone matrix broadcasts against a stack, on either side
+    assert max_rel_norm(transfer._mul(a[0], b), a[0] @ b) < 1e-13
+    assert max_rel_norm(transfer._mul(a, b[0]), a @ b[0]) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 13, 2000])
+@pytest.mark.parametrize("n", [1, 3, 1621])
+def test_binary_power_equals_numpy(n, count):
+    rng = np.random.default_rng(n + count)
+    exact = periodic_stack(rng, n)
+    np.testing.assert_array_equal(transfer._mat_power(exact, count),
+                                  np.linalg.matrix_power(exact, count))
+    if count <= 13:
+        # each product's rounding grows up to count-fold through a power, in
+        # either form (2.8e-13 at count 2000), so rounding is compared at
+        # the small counts and the order of the products at all of them
+        m = random_stack(rng, n)
+        assert max_rel_norm(transfer._mat_power(m, count),
+                            np.linalg.matrix_power(m, count)) < 1e-13
+
+
+@pytest.mark.parametrize("n_periods", [2000, 16379])
+def test_structure_matrix_against_a_50_digit_power(n_periods):
+    # the same float inputs, taken through the cell and its power in 50-digit
+    # arithmetic; 1546.1 nm lies in the stopband
+    mp = pytest.importorskip("mpmath")
+    spec = replace(REF, n_periods=n_periods)
+    omegas = model.omega_from_wavelength(np.array([1542e-9, 1545.2e-9, 1546.1e-9, 1550e-9]))
+
+    def product(a, b):
+        return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+    def exact(omega):
+        k_lo, k_hi = (mp.mpf(n) * mp.mpf(float(omega)) / mp.mpf(C0)
+                      for n in (spec.n_lo, spec.n_hi))
+        d_lo = spec.duty_cycle * spec.period
+
+        def prop(k, length):
+            return [[mp.exp(-1j * k * length), 0], [0, mp.exp(1j * k * length)]]
+
+        def iface(k1, k2):
+            s, d = (k1 + k2) / (2 * k1), (k1 - k2) / (2 * k1)
+            return [[s, d], [d, s]]
+
+        cell = product(product(product(iface(k_hi, k_lo), prop(k_lo, mp.mpf(d_lo))),
+                               iface(k_lo, k_hi)), prop(k_hi, mp.mpf(spec.period - d_lo)))
+        result, count = None, n_periods
+        while count:
+            count, bit = divmod(count, 2)
+            if bit:
+                result = cell if result is None else product(result, cell)
+            if count:
+                cell = product(cell, cell)
+        return result
+
+    got = transfer.structure_matrix(spec, omegas)
+    _, q = transfer._bloch_cosine(spec, omegas)
+    assert q[2] < 0             # in the stopband
+    for m, omega in zip(got, omegas):
+        with mp.workdps(50):
+            reference = exact(omega)
+        for row in (0, 1):
+            want = complex(reference[row][0])
+            assert abs(m[row, 0] - want) < 5e-11 * abs(want)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 13])
