@@ -4,9 +4,9 @@ Design rules:
 * data files are deterministic — fixed scientific notation, no timestamps;
   run metadata (clock, versions) lives in a sidecar `run_meta.json`;
 * exit codes separate config errors (2), domain errors (3), and I/O errors
-  (4);
-* all physical config fields carry unit suffixes in their names (_nm, _um,
-  _mw, _ghz, _ns, _ps) and are converted to SI on load;
+  (4); an unknown or duplicate config key is a config error;
+* the table _SCHEMA is the config schema; physical fields carry unit
+  suffixes (_nm, _um, _mw, _ghz, _ns, _ps) and are converted to SI on load;
 * the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
   BLAS/OpenMP and in the overlap kernel's threads (0 or unset = automatic;
   the kernel uses at most two),
@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,12 +65,101 @@ def bundled_config_path() -> Path:
 # config loading
 
 
+_REQUIRED = object()    # the default of a key that must be given
+_DUPLICATE = object()   # the value of a key that one JSON object gives twice
+
+# One config key: the keyword argument that it feeds; its JSON kind (a number
+# is finite, a list holds numbers, a tuple lists the kinds allowed, and a
+# dict is a sub-table of keys); its scale to SI units; its default in
+# config units, or _REQUIRED; whether it may be null; and one bound, an
+# (operator, limit) pair on the value as written.
+_Field = namedtuple("_Field", "keyword kind scale default nullable bound",
+                    defaults=(1.0, _REQUIRED, False, None))
+_KINDS = {"number": (int, float), "integer": int, "string": str, "list": list, "object": dict}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "in": lambda value, allowed: value in allowed}
+
+_PULSE = {
+    "shape": _Field("shape", "string", bound=("in", ("tophat", "gaussian"))),
+    # exactly one of the two durations; build_scenario checks which was given
+    "duration_ns": _Field("duration", "number", 1e-9, None),
+    "duration_ps": _Field("duration", "number", 1e-12, None),
+    "peak_power_mw": _Field("peak_power", "number", 1e-3),
+    "center_wavelength_nm": _Field("center_wavelength", "number", 1e-9),
+}
+_CENTER = _Field("center_wavelength", "number", 1e-9)
+_WIDTH = _Field("width", "number", 2.0 * math.pi * 1e9)
+
+# The config schema. A section's keywords are those of the model class that
+# build_scenario makes from it, or ScenarioConfig's own fields.
+_SCHEMA = _Field("", {
+    "structure": _Field("structure", {
+        "type": _Field("type", "string", bound=("in", ("grating",))),
+        "period_nm": _Field("period", "number", 1e-9),
+        "duty_cycle": _Field("duty_cycle", "number"),
+        "n_periods": _Field("n_periods", "integer"),
+        "n_lo": _Field("n_lo", "number"),
+        "delta_n": _Field("delta_n", "number"),
+        "lead_in_um": _Field("lead_in_length", "number", 1e-6, 0.0),
+        "lead_out_um": _Field("lead_out_length", "number", 1e-6, 0.0),
+    }),
+    "ring_comparator": _Field("ring_comparator", {
+        "radius_um": _Field("radius", "number", 1e-6),
+        "pump_resonance_nm": _Field("lambda_p", "number", 1e-9),
+        "signal_resonance_nm": _Field("lambda_s", "number", 1e-9),
+        "idler_resonance_nm": _Field("lambda_i", "number", 1e-9),
+        "quality_factor": _Field("quality_factor", ("number", "list")),
+        "group_index": _Field("group_index", "number", default=None, nullable=True),
+        "pulse": _Field("pulse", _PULSE),
+    }, default=None),
+    "nonlinear": _Field("nonlinear", {
+        "gamma_per_w_m": _Field("gamma", "number"),
+        "pump_power_mw": _Field("coupled_pump_power", "number", 1e-3),
+        "signal_power_mw": _Field("coupled_signal_power", "number", 1e-3),
+        "coupling_loss_db": _Field("coupling_loss_db", "number", default=None, nullable=True),
+    }),
+    "pulse": _Field("pulse", _PULSE),
+    "windows": _Field("windows", {
+        "signal": _Field("signal", {"center_nm": _CENTER, "width_ghz": _WIDTH}),
+        "idler": _Field("idler", {"center_nm": _CENTER._replace(nullable=True),
+                                  "width_ghz": _WIDTH}),
+    }),
+    "spectrum": _Field("spectrum", {
+        "start_nm": _Field("start", "number", 1e-9, bound=(">", 0)),
+        "stop_nm": _Field("stop", "number", 1e-9),
+        "step_pm": _Field("step", "number", 1e-12, bound=(">", 0)),
+    }),
+    "pump_sweep": _Field("pump_sweep", {
+        "start_nm": _Field("start", "number", 1e-9, bound=(">", 0)),
+        "stop_nm": _Field("stop", "number", 1e-9),
+        "points": _Field("points", "integer", bound=(">=", 2)),
+        "signal_nm": _Field("signal", "number", 1e-9, bound=(">", 0)),
+    }),
+    "contrast_sweep": _Field("contrast_sweep", {
+        "contrasts": _Field("contrasts", "list"),
+        "target_rejection_db": _Field("target_rejection_db", "number"),
+        "compare_rejection_db": _Field("compare_rejection_db", "number", default=None,
+                                       nullable=True),
+    }),
+    "jsd": _Field("jsd", {
+        "points": _Field("jsd_points", "integer", default=201, bound=(">=", 2)),
+        "ring_span_linewidths": _Field("ring_span_linewidths", "number", default=6.0,
+                                       bound=(">", 0)),
+    }, default={}),
+})
+
+
+def _mark_duplicates(pairs) -> dict:
+    keys = [key for key, _ in pairs]
+    return {key: _DUPLICATE if keys.count(key) > 1 else value for key, value in pairs}
+
+
 def load_config_dict(path) -> dict:
+    """The parsed config; a key given twice in one object reads as _DUPLICATE."""
     p = Path(path)
     if not p.is_file():
         raise IOFailure(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(), object_pairs_hook=_mark_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})")
     if not isinstance(raw, dict):
@@ -81,42 +172,43 @@ def serialize_config(raw: dict) -> str:
     return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
-def _get(section: dict, path: str, key: str, kinds, required: bool = True,
-         default=None, nullable: bool = False, positive: bool = False):
-    full = f"{path}.{key}" if path else key
-    if key not in section:
-        if required:
-            raise ConfigError(f"{full}: required field is missing")
-        return default
-    value = section[key]
-    if value is None:
-        if nullable:
-            return None
-        raise ConfigError(f"{full}: must not be null")
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{full}: expected a number, got {type(value).__name__}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{full}: must be a finite number, got {value}")
-        if positive and value <= 0:
-            raise ConfigError(f"{full}: must be > 0, got {value:g}")
-        return float(value)
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{full}: expected an integer, got {type(value).__name__}")
-        return value
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{full}: unexpected type {type(value).__name__}")
-    return value
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _section(raw: dict, key: str, required: bool = True):
-    return _get(raw, "", key, dict, required=required)
+def _walk(field: _Field, value, path: str):
+    """`value` checked against its table entry and scaled to SI units. A sub-table
+    gives the keyword arguments of its keys; those absent take their default."""
+    if value is _DUPLICATE:
+        raise ConfigError(f"{path}: duplicate key")
+    if value is None and field.nullable:
+        return None
+    kinds = ("object",) if isinstance(field.kind, dict) else \
+        field.kind if isinstance(field.kind, tuple) else (field.kind,)
+    for kind in kinds:
+        if isinstance(value, _KINDS[kind]) and not isinstance(value, bool):
+            break
+    else:
+        got = "null" if value is None else type(value).__name__
+        raise ConfigError(f"{path}: expected {'/'.join(kinds)}, got {got}")
+    if kind == "list":
+        return tuple(_walk(_Field("", "number"), x, path) for x in value)
+    if kind == "object":
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in field.kind:
+                raise ConfigError(f"{prefix}{key}: unknown key")
+        out = {}
+        for key, sub in field.kind.items():
+            if key in value:
+                out[sub.keyword] = _walk(sub, value[key], prefix + key)
+            elif sub.default is _REQUIRED:
+                raise ConfigError(f"{prefix}{key}: required field is missing")
+            elif sub.keyword not in out:    # else the other duration key fed it
+                out[sub.keyword] = None if sub.default is None else \
+                    _walk(sub, sub.default, prefix + key)
+        return out
+    if kind == "number" and not abs(value) <= sys.float_info.max:    # NaN, inf, 10**400
+        raise ConfigError(f"{path}: must be a finite number, got {value}")
+    if field.bound is not None and not _BOUNDS[field.bound[0]](value, field.bound[1]):
+        raise ConfigError(f"{path}: must be {field.bound[0]} {field.bound[1]!r}, got {value!r}")
+    return float(value) * field.scale if kind == "number" else value
 
 
 @dataclass(frozen=True)
@@ -140,150 +232,58 @@ class ScenarioConfig:
 
 
 def build_scenario(raw: dict) -> ScenarioConfig:
-    from . import model
-    from .fwm import idler_wavelength
+    from . import fwm, model
 
-    def wrap(path, fn, *args, **kwargs):
+    def build(path, cls, kwargs):
         try:
-            return fn(*args, **kwargs)
+            return cls(**kwargs)
         except model.InvalidArgument as exc:
             raise ConfigError(f"{path}: {exc}")
 
-    s = _section(raw, "structure")
-    kind = _get(s, "structure", "type", str)
-    if kind != "grating":
-        raise ConfigError(f"structure.type: unsupported structure {kind!r}")
-    grating = wrap("structure", model.GratingSpec,
-                   period=_get(s, "structure", "period_nm", float) * 1e-9,
-                   duty_cycle=_get(s, "structure", "duty_cycle", float),
-                   n_periods=_get(s, "structure", "n_periods", int),
-                   n_lo=_get(s, "structure", "n_lo", float),
-                   delta_n=_get(s, "structure", "delta_n", float),
-                   lead_in_length=_get(s, "structure", "lead_in_um", float,
-                                       required=False, default=0.0) * 1e-6,
-                   lead_out_length=_get(s, "structure", "lead_out_um", float,
-                                        required=False, default=0.0) * 1e-6)
+    def pump_pulse(path, kwargs, written):
+        if ("duration_ns" in written) == ("duration_ps" in written):
+            raise ConfigError(f"{path}: exactly one of duration_ns/duration_ps is required")
+        kwargs["shape"] = model.PulseShape(kwargs["shape"])
+        return build(path, model.PumpPulse, kwargs)
 
-    n = _section(raw, "nonlinear")
-    params = wrap("nonlinear", model.NonlinearParams,
-                  gamma=_get(n, "nonlinear", "gamma_per_w_m", float),
-                  coupled_pump_power=_get(n, "nonlinear", "pump_power_mw", float) * 1e-3,
-                  coupled_signal_power=_get(n, "nonlinear", "signal_power_mw", float) * 1e-3,
-                  coupling_loss_db=_get(n, "nonlinear", "coupling_loss_db", float,
-                                        required=False, nullable=True))
+    c = _walk(_SCHEMA, raw, "")
+    del c["structure"]["type"]
+    grating = build("structure", model.GratingSpec, c["structure"])
+    params = build("nonlinear", model.NonlinearParams, c["nonlinear"])
+    pulse = pump_pulse("pulse", c["pulse"], raw["pulse"])
 
-    pulse = _build_pulse(_section(raw, "pulse"), "pulse", model)
+    signal, idler = c["windows"]["signal"], c["windows"]["idler"]
+    signal_window = build("windows.signal", model.CollectionWindow, signal)
+    if idler["center_wavelength"] is None:    # from energy conservation with the pump
+        idler["center_wavelength"] = fwm.idler_wavelength(pulse.center_wavelength,
+                                                          signal_window.center_wavelength)
+    idler_window = build("windows.idler", model.CollectionWindow, idler)
 
-    w = _section(raw, "windows")
-    sig = _get(w, "windows", "signal", dict)
-    signal_window = wrap("windows.signal", model.CollectionWindow,
-                         center_wavelength=_get(sig, "windows.signal", "center_nm", float) * 1e-9,
-                         width=2.0 * math.pi * 1e9 * _get(sig, "windows.signal", "width_ghz", float))
-    idl = _get(w, "windows", "idler", dict)
-    idler_center = _get(idl, "windows.idler", "center_nm", float, nullable=True)
-    if idler_center is None:
-        # energy conservation against the pump carrier
-        center = idler_wavelength(pulse.center_wavelength,
-                                  signal_window.center_wavelength)
-    else:
-        center = idler_center * 1e-9
-    idler_window = wrap("windows.idler", model.CollectionWindow,
-                        center_wavelength=center,
-                        width=2.0 * math.pi * 1e9 * _get(idl, "windows.idler", "width_ghz", float))
-
-    ring = None
-    ring_pulse = None
-    rc = _section(raw, "ring_comparator", required=False)
+    ring = ring_pulse = None
+    rc = c["ring_comparator"]
     if rc is not None:
-        q = rc.get("quality_factor")
-        if isinstance(q, list):
-            if len(q) != 3 or not all(_is_finite_number(x) for x in q):
-                raise ConfigError("ring_comparator.quality_factor: expected a number or a list of 3 finite numbers")
-            qval = tuple(float(x) for x in q)
-        else:
-            qval = _get(rc, "ring_comparator", "quality_factor", float)
-        ring = wrap("ring_comparator", model.RingSpec,
-                    radius=_get(rc, "ring_comparator", "radius_um", float) * 1e-6,
-                    lambda_p=_get(rc, "ring_comparator", "pump_resonance_nm", float) * 1e-9,
-                    lambda_s=_get(rc, "ring_comparator", "signal_resonance_nm", float) * 1e-9,
-                    lambda_i=_get(rc, "ring_comparator", "idler_resonance_nm", float) * 1e-9,
-                    quality_factor=qval,
-                    group_index=_get(rc, "ring_comparator", "group_index", float,
-                                     required=False, nullable=True))
-        ring_pulse = _build_pulse(_get(rc, "ring_comparator", "pulse", dict),
-                                  "ring_comparator.pulse", model)
+        if isinstance(rc["quality_factor"], tuple) and len(rc["quality_factor"]) != 3:
+            raise ConfigError("ring_comparator.quality_factor: expected a number or 3 numbers")
+        ring_pulse = pump_pulse("ring_comparator.pulse", rc.pop("pulse"),
+                                raw["ring_comparator"]["pulse"])
+        ring = build("ring_comparator", model.RingSpec, rc)
 
-    sp = _section(raw, "spectrum")
-    start = _get(sp, "spectrum", "start_nm", float, positive=True) * 1e-9
-    stop = _get(sp, "spectrum", "stop_nm", float) * 1e-9
-    step = _get(sp, "spectrum", "step_pm", float) * 1e-12
-    if stop <= start or step <= 0:
-        raise ConfigError("spectrum: needs stop_nm > start_nm and step_pm > 0")
-    n_points = int(round((stop - start) / step)) + 1
+    sp, ps = c["spectrum"], c["pump_sweep"]
+    for name, sweep in (("spectrum", sp), ("pump_sweep", ps)):
+        if sweep["stop"] <= sweep["start"]:
+            raise ConfigError(f"{name}.stop_nm: must be > start_nm")
+    n_points = int(round((sp["stop"] - sp["start"]) / sp["step"])) + 1
     if n_points < 2:
-        raise ConfigError(f"spectrum.step_pm: gives fewer than 2 points from start_nm "
-                          f"to stop_nm, got {step * 1e12:g}")
-    spectrum_args = (0.5 * (start + stop), stop - start, n_points)
-
-    ps = _section(raw, "pump_sweep")
-    sweep_args = (_get(ps, "pump_sweep", "start_nm", float, positive=True) * 1e-9,
-                  _get(ps, "pump_sweep", "stop_nm", float) * 1e-9,
-                  _get(ps, "pump_sweep", "points", int),
-                  _get(ps, "pump_sweep", "signal_nm", float, positive=True) * 1e-9)
-    if sweep_args[1] <= sweep_args[0] or sweep_args[2] < 2:
-        raise ConfigError("pump_sweep: needs stop_nm > start_nm and points >= 2")
-
-    cs = _section(raw, "contrast_sweep")
-    contrasts = _get(cs, "contrast_sweep", "contrasts", list)
-    if not contrasts or not all(_is_finite_number(x) for x in contrasts):
-        raise ConfigError("contrast_sweep.contrasts: expected a nonempty list of finite numbers")
-
-    jsd = _section(raw, "jsd", required=False) or {}
-    jsd_points = _get(jsd, "jsd", "points", int, required=False, default=201)
-    if jsd_points < 2:
-        raise ConfigError("jsd.points: must be >= 2")
-    ring_span = _get(jsd, "jsd", "ring_span_linewidths", float, required=False,
-                     default=6.0, positive=True)
+        raise ConfigError("spectrum.step_pm: gives fewer than 2 points from start_nm to stop_nm")
+    if not c["contrast_sweep"]["contrasts"]:
+        raise ConfigError("contrast_sweep.contrasts: must not be empty")
     return ScenarioConfig(
-        grating=grating,
-        ring=ring,
-        ring_pulse=ring_pulse,
-        params=params,
-        pulse=pulse,
-        signal_window=signal_window,
-        idler_window=idler_window,
-        spectrum_grid_args=spectrum_args,
-        pump_sweep_args=sweep_args,
-        contrasts=tuple(float(x) for x in contrasts),
-        target_rejection_db=_get(cs, "contrast_sweep", "target_rejection_db", float),
-        compare_rejection_db=_get(cs, "contrast_sweep", "compare_rejection_db", float,
-                                  required=False, nullable=True),
-        jsd_points=jsd_points,
-        ring_span_linewidths=ring_span,
-    )
-
-
-def _build_pulse(p: dict, path: str, model):
-    shape_name = _get(p, path, "shape", str).lower()
-    shapes = {"tophat": model.PulseShape.TOPHAT, "gaussian": model.PulseShape.GAUSSIAN}
-    if shape_name not in shapes:
-        raise ConfigError(f"{path}.shape: unknown pulse shape {shape_name!r}")
-    has_ns = "duration_ns" in p
-    has_ps = "duration_ps" in p
-    if has_ns == has_ps:
-        raise ConfigError(f"{path}: exactly one of duration_ns/duration_ps is required")
-    if has_ns:
-        duration = _get(p, path, "duration_ns", float) * 1e-9
-    else:
-        duration = _get(p, path, "duration_ps", float) * 1e-12
-    try:
-        return model.PumpPulse(
-            shape=shapes[shape_name],
-            duration=duration,
-            peak_power=_get(p, path, "peak_power_mw", float) * 1e-3,
-            center_wavelength=_get(p, path, "center_wavelength_nm", float) * 1e-9)
-    except model.InvalidArgument as exc:
-        raise ConfigError(f"{path}: {exc}")
+        grating=grating, ring=ring, ring_pulse=ring_pulse, params=params, pulse=pulse,
+        signal_window=signal_window, idler_window=idler_window,
+        spectrum_grid_args=(0.5 * (sp["start"] + sp["stop"]), sp["stop"] - sp["start"],
+                            n_points),
+        pump_sweep_args=(ps["start"], ps["stop"], ps["points"], ps["signal"]),
+        **c["contrast_sweep"], **c["jsd"])
 
 
 # --------------------------------------------------------------------------
@@ -606,10 +606,8 @@ def run_scenario(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')}: not read by {args.subcommand}")
     config_path = Path(args.config) if args.config else bundled_config_path()
     cfg = build_scenario(load_config_dict(config_path))
-    if args.points is not None and args.points < 2:
-        raise ConfigError("--points: must be >= 2")
-    if args.rejection_db is not None and not math.isfinite(args.rejection_db):
-        raise ConfigError(f"--rejection-db: must be a finite number, got {args.rejection_db}")
+    _walk(_Field("", "integer", nullable=True, bound=(">=", 2)), args.points, "--points")
+    _walk(_Field("", "number", nullable=True), args.rejection_db, "--rejection-db")
 
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
     out = _Out(out_dir, force=args.force, quiet=args.quiet)

@@ -115,6 +115,8 @@ def test_missing_section_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand,section,key,value", [
     ("spectrum", "structure", "delta_n", float("nan")),
     ("spont-rate", "nonlinear", "gamma_per_w_m", float("inf")),
+    # an integer literal that no float holds
+    pytest.param("design", "structure", "n_lo", 10 ** 400, id="design-structure-n_lo-10**400"),
 ])
 def test_non_finite_number_is_config_error(tmp_path, capsys, subcommand,
                                            section, key, value):
@@ -136,6 +138,11 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, subcommand,
     ("stim-sweep", "pump_sweep", "start_nm", -1544.0),
     ("stim-sweep", "pump_sweep", "signal_nm", 0.0),
     ("stim-sweep", "pump_sweep", "signal_nm", -1560.0),
+    ("spectrum", "spectrum", "step_pm", 0.0),
+    ("spectrum", "spectrum", "step_pm", -2.0),
+    ("spectrum", "spectrum", "stop_nm", 1542.0),
+    ("stim-sweep", "pump_sweep", "points", 1),
+    ("stim-sweep", "pump_sweep", "stop_nm", 1540.0),
 ])
 def test_non_positive_wavelength_is_config_error(tmp_path, capsys, subcommand,
                                                  section, key, value):
@@ -169,6 +176,55 @@ def reference_variant(tmp_path, edit):
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def _rename_coupling_loss(raw):
+    raw["nonlinear"]["coupling_los_db"] = raw["nonlinear"].pop("coupling_loss_db")
+
+
+@pytest.mark.parametrize("path,edit", [
+    ("bogus", lambda raw: raw.update(bogus=1)),
+    ("structure.lead_in_nm", lambda raw: raw["structure"].update(lead_in_nm=0.0)),
+    ("jsd.pionts", lambda raw: raw["jsd"].update(pionts=21)),
+    ("windows.signal.width_gh", lambda raw: raw["windows"]["signal"].update(width_gh=1.0)),
+    ("ring_comparator.pulse.extra", lambda raw: raw["ring_comparator"]["pulse"].update(extra=1)),
+    # a misspelt optional key once dropped the external-rate normalization
+    ("nonlinear.coupling_los_db", _rename_coupling_loss),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, path, edit):
+    out = tmp_path / "o"
+    assert run("spont-rate", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not out.exists()
+
+
+def test_duplicate_key_is_config_error(tmp_path, capsys):
+    # plain json.loads keeps the last of two equal keys without a word
+    text = cli.bundled_config_path().read_text()
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace('"delta_n": 0.0034985,',
+                                 '"delta_n": 0.0034985,\n    "delta_n": 0.0070,'))
+    out = tmp_path / "o"
+    assert run("design", "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("config error: structure.delta_n: duplicate key")
+    assert not out.exists()
+
+
+def test_readme_configuration_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+
+    def names(table, path):
+        for key, field in table.items():
+            if isinstance(field.kind, dict):
+                yield f"{path}{key}"
+                yield from names(field.kind, f"{path}{key}.")
+            else:
+                yield key
+
+    missing = [n for n in names(cli._SCHEMA.kind, "") if f"`{n}`" not in section]
+    assert not missing
 
 
 def test_jsd_signal_outside_model_domain(tmp_path, capsys):
