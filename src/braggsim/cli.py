@@ -5,6 +5,8 @@ Design rules:
   run metadata (clock, versions) lives in a sidecar `run_meta.json`;
 * exit codes separate config errors (2), domain errors (3), and I/O errors
   (4); an unknown or duplicate config key is a config error;
+* a runner computes its files and messages and writes nothing; _Out writes
+  them once the runner has returned, so a failed run leaves no data files;
 * the table _SCHEMA is the config schema; physical fields carry unit
   suffixes (_nm, _um, _mw, _ghz, _ns, _ps) and are converted to SI on load;
 * the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
@@ -159,8 +161,8 @@ def load_config_dict(path) -> dict:
     if not p.is_file():
         raise IOFailure(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(), object_pairs_hook=_mark_duplicates)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_mark_duplicates)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
@@ -291,36 +293,41 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
 
 class _Out:
-    """Collects output files for one subcommand run."""
+    """Writes the files of one run into one directory, all of them or none."""
 
     def __init__(self, directory: Path, force: bool, quiet: bool):
         self.dir = directory
         self.force = force
         self.quiet = quiet
-        self.written = []
-
-    def _prepare(self, name: str) -> Path:
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IOFailure(f"cannot create output directory {self.dir}: {exc}")
-        target = self.dir / name
-        if target.exists() and not self.force:
-            raise IOFailure(f"refusing to overwrite {target} (use --force)")
-        return target
 
     def write(self, name: str, text: str, blocks=()) -> Path:
         """Write `text`, then each string of `blocks` as it is produced, so a
         large table need never be held as one string."""
-        target = self._prepare(name)
+        target = self.dir / name
         try:
             with target.open("w") as f:
                 f.write(text)
                 f.writelines(blocks)
         except OSError as exc:
             raise IOFailure(f"cannot write {target}: {exc}")
-        self.written.append(target)
         return target
+
+    def save(self, files, messages, subcommand: str, config_path) -> None:
+        """Write `files`, a runner's (name, text, blocks) triples, then the
+        sidecar; print the runner's `messages` and the paths written. No file
+        is written when one of them exists and --force is not given."""
+        for name, _, _ in files:
+            if (self.dir / name).exists() and not self.force:
+                raise IOFailure(f"refusing to overwrite {self.dir / name} (use --force)")
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IOFailure(f"cannot create output directory {self.dir}: {exc}")
+        written = [self.write(*file) for file in files]
+        self.sidecar(subcommand, config_path)
+        if not self.quiet:
+            for line in messages + [f"wrote {path}" for path in written]:
+                print(line)
 
     def sidecar(self, subcommand: str, config_path) -> None:
         """Run metadata; the only file allowed to differ between runs."""
@@ -335,14 +342,9 @@ class _Out:
         }
         target = self.dir / "run_meta.json"
         try:
-            self.dir.mkdir(parents=True, exist_ok=True)
             target.write_text(json.dumps(meta, indent=2) + "\n")
         except OSError as exc:
             raise IOFailure(f"cannot write {target}: {exc}")
-
-    def say(self, message: str) -> None:
-        if not self.quiet:
-            print(message)
 
 
 def _json_text(obj) -> str:
@@ -365,7 +367,14 @@ def _json_text(obj) -> str:
 # subcommand implementations
 
 
-def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _table(stem: str, fmt: str, sweep, extras: dict) -> tuple:
+    """The sweep's CSV, or its JSON with `extras` beside the columns."""
+    if fmt == "csv":
+        return f"{stem}.csv", sweep.to_csv_text(), ()
+    return f"{stem}.json", _json_text({"columns": sweep.to_json_obj(), **extras}), ()
+
+
+def _run_spectrum(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .model import make_wavelength_grid
     from .transfer import spectrum_stopband, transmission_spectrum
     center, span, n_points = cfg.spectrum_grid_args
@@ -377,16 +386,12 @@ def _run_spectrum(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db
         "rejection_db": report.rejection_db,
         "band_width_nm": None if report.band_width is None else report.band_width * 1e9,
     }
-    if fmt == "csv":
-        out.write("spectrum.csv", sweep.to_csv_text())
-    else:
-        out.write("spectrum.json", _json_text({"columns": sweep.to_json_obj(),
-                                               "summary": summary}))
-    out.say(f"stopband center {report.center_wavelength * 1e9:.3f} nm, "
-            f"rejection {report.rejection_db:.2f} dB")
+    return [_table("spectrum", fmt, sweep, {"summary": summary})], [
+        f"stopband center {report.center_wavelength * 1e9:.3f} nm, "
+        f"rejection {report.rejection_db:.2f} dB"]
 
 
-def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _run_design(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .transfer import design_periods, rejection_estimate_db
     target = cfg.target_rejection_db if rejection_db is None else rejection_db
     n = design_periods(target, cfg.grating.n_lo, cfg.grating.delta_n)
@@ -398,31 +403,26 @@ def _run_design(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
         "estimated_rejection_db": rejection_estimate_db(n, cfg.grating.n_lo,
                                                         cfg.grating.delta_n),
     }
-    out.write("design.json", _json_text(result))
-    out.say(f"N={n}")
+    return [("design.json", _json_text(result), ())], [f"N={n}"]
 
 
-def _run_stim_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _run_stim_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     import numpy as np
 
     from .fwm import dip_report, pump_sweep
     start, stop, n_points, signal = cfg.pump_sweep_args
     lam = np.linspace(start, stop, points or n_points)
     sweep = pump_sweep(cfg.grating, cfg.params, lam, signal)
-    # before any file is written, so that a sweep without a dip leaves none
     dip = dip_report(sweep)
-    if fmt == "csv":
-        out.write("stim_sweep.csv", sweep.to_csv_text())
-    else:
-        obj = {"columns": sweep.to_json_obj()}
-        if cfg.params.coupling_loss_db is not None:
-            obj["external_per_internal_rate_factor"] = cfg.params.facet_transmission ** 2
-        out.write("stim_sweep.json", _json_text(obj))
-    out.say(f"idler dip at {dip.center_x:.3f} nm, "
-            f"suppression {dip.suppression_db:.1f} dB vs off-band median")
+    extras = {}
+    if cfg.params.coupling_loss_db is not None:
+        extras["external_per_internal_rate_factor"] = cfg.params.facet_transmission ** 2
+    return [_table("stim_sweep", fmt, sweep, extras)], [
+        f"idler dip at {dip.center_x:.3f} nm, "
+        f"suppression {dip.suppression_db:.1f} dB vs off-band median"]
 
 
-def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _run_spont_rate(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .fwm import stimulated_idler
     from .model import _FMT, omega_from_wavelength
     from .quantum import spont_from_stim
@@ -448,19 +448,22 @@ def _run_spont_rate(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_
     }
     if fmt == "csv":
         row = result["spontaneous"]
-        text = ",".join(row) + "\n" + ",".join(
+        name, text = "spont_rate.csv", ",".join(row) + "\n" + ",".join(
             "" if v is None else _FMT.format(v) for v in row.values()) + "\n"
-        out.write("spont_rate.csv", text)
     else:
-        out.write("spont_rate.json", _json_text(result))
-    out.say(f"spontaneous rate {spont.rate:.3f} pairs/s in the collection window")
+        name, text = "spont_rate.json", _json_text(result)
+    return [(name, text, ())], [
+        f"spontaneous rate {spont.rate:.3f} pairs/s in the collection window"]
 
 
-def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .quantum import contrast_sweep
     report = contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                             cfg.params, cfg.pulse, cfg.signal_window)
-    comparison = None
+    slope_text = "undefined (single point)" if report.slope is None \
+        else f"{report.slope:.3f}"
+    messages = [f"contrast-sweep slope {slope_text}"]
+    extras = {"slope": report.slope, "target_rejection_db": report.target_rejection_db}
     if cfg.compare_rejection_db is not None:
         dn = cfg.grating.delta_n
 
@@ -475,7 +478,7 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, reject
         r0 = float(report.sweep.column("pair_rate_per_s")[swept.index(dn)]) \
             if dn in swept else rate_at(cfg.target_rejection_db)
         r1 = rate_at(cfg.compare_rejection_db)
-        comparison = {
+        comparison = extras["rejection_comparison"] = {
             "delta_n": dn,
             "target_rejection_db": cfg.target_rejection_db,
             "compare_rejection_db": cfg.compare_rejection_db,
@@ -483,21 +486,10 @@ def _run_contrast_sweep(cfg: ScenarioConfig, out: _Out, fmt: str, points, reject
             "compare_rate_per_s": r1,
             "relative_difference": abs(r1 - r0) / r0,
         }
-    if fmt == "csv":
-        out.write("contrast_sweep.csv", report.sweep.to_csv_text())
-    else:
-        obj = {"columns": report.sweep.to_json_obj(), "slope": report.slope,
-               "target_rejection_db": report.target_rejection_db}
-        if comparison is not None:
-            obj["rejection_comparison"] = comparison
-        out.write("contrast_sweep.json", _json_text(obj))
-    slope_text = "undefined (single point)" if report.slope is None \
-        else f"{report.slope:.3f}"
-    out.say(f"contrast-sweep slope {slope_text}")
-    if comparison is not None:
-        out.say(f"rate change {cfg.target_rejection_db:g} dB -> "
-                f"{cfg.compare_rejection_db:g} dB designs: "
-                f"{100 * comparison['relative_difference']:.2f}%")
+        messages.append(f"rate change {cfg.target_rejection_db:g} dB -> "
+                        f"{cfg.compare_rejection_db:g} dB designs: "
+                        f"{100 * comparison['relative_difference']:.2f}%")
+    return [_table("contrast_sweep", fmt, report.sweep, extras)], messages
 
 
 _JSD_CSV_HEADER = "lambda_signal_nm,lambda_idler_nm,jsd_normalized\n"
@@ -530,35 +522,38 @@ def _jsd_header(state, report) -> dict:
     }
 
 
-def _run_jsd(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
+def _run_jsd(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .quantum import schmidt_analysis, two_photon_state_bw, two_photon_state_ring
     points = points or cfg.jsd_points
-    bw = two_photon_state_bw(cfg.grating, cfg.params, cfg.pulse,
-                             cfg.signal_window, cfg.idler_window,
-                             n_points=points)
-    bw_report = schmidt_analysis(bw)
-    out.write("jsd_bw.csv", _JSD_CSV_HEADER, _jsd_csv(bw))
-    out.write("jsd_bw.json", _json_text(_jsd_header(bw, bw_report)))
-    out.say(f"waveguide pair state: beta_sq {bw.beta_sq:.4e}, "
-            f"purity {bw_report.purity:.4f}")
+    states = [("bw", "waveguide", two_photon_state_bw(cfg.grating, cfg.params, cfg.pulse,
+                                                      cfg.signal_window, cfg.idler_window,
+                                                      n_points=points))]
+    if cfg.ring is not None:
+        states.append(("ring", "ring", two_photon_state_ring(
+            cfg.ring, cfg.params, cfg.ring_pulse, n_points=points,
+            span_linewidths=cfg.ring_span_linewidths)))
+    files, messages = [], []
+    for stem, label, state in states:
+        report = schmidt_analysis(state)
+        files += [(f"jsd_{stem}.csv", _JSD_CSV_HEADER, _jsd_csv(state)),
+                  (f"jsd_{stem}.json", _json_text(_jsd_header(state, report)), ())]
+        messages.append(f"{label} pair state: beta_sq {state.beta_sq:.4e}, "
+                        f"purity {report.purity:.4f}")
     if cfg.ring is None:
-        out.say("no ring_comparator configured; skipping ring state")
-        return
-    ring = two_photon_state_ring(cfg.ring, cfg.params, cfg.ring_pulse,
-                                 n_points=points,
-                                 span_linewidths=cfg.ring_span_linewidths)
-    ring_report = schmidt_analysis(ring)
-    out.write("jsd_ring.csv", _JSD_CSV_HEADER, _jsd_csv(ring))
-    out.write("jsd_ring.json", _json_text(_jsd_header(ring, ring_report)))
-    out.say(f"ring pair state: beta_sq {ring.beta_sq:.4e}, "
-            f"purity {ring_report.purity:.4f}")
+        messages.append("no ring_comparator configured; skipping ring state")
+    return files, messages
 
 
-def _run_report(cfg: ScenarioConfig, out: _Out, fmt: str, points, rejection_db):
-    # --points sets only the spectrum grid
+def _run_report(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+    files, messages = [], []
     for name in ("spectrum", "design", "stim-sweep", "spont-rate",
                  "contrast-sweep", "jsd"):
-        _RUNNERS[name](cfg, out, fmt, points if name == "spectrum" else None, None)
+        # --points sets only the spectrum grid
+        more_files, more_messages = _RUNNERS[name](
+            cfg, fmt, points if name == "spectrum" else None, None)
+        files += more_files
+        messages += more_messages
+    return files, messages
 
 
 _RUNNERS = {
@@ -609,13 +604,11 @@ def run_scenario(args) -> int:
     _walk(_Field("", "integer", nullable=True, bound=(">=", 2)), args.points, "--points")
     _walk(_Field("", "number", nullable=True), args.rejection_db, "--rejection-db")
 
+    files, messages = _RUNNERS[args.subcommand](cfg, args.format, args.points,
+                                                args.rejection_db)
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
-    out = _Out(out_dir, force=args.force, quiet=args.quiet)
-
-    _RUNNERS[args.subcommand](cfg, out, args.format, args.points, args.rejection_db)
-    out.sidecar(args.subcommand, config_path)
-    for path in out.written:
-        out.say(f"wrote {path}")
+    _Out(out_dir, force=args.force, quiet=args.quiet).save(files, messages, args.subcommand,
+                                                           config_path)
     return EXIT_OK
 
 

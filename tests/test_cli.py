@@ -86,11 +86,12 @@ def test_missing_config_is_io_error(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-def test_unparseable_config_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf8"])
+def test_unparseable_config_is_config_error(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_bytes(content)
     assert run("spectrum", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {bad}: not valid JSON (")
 
 
 def test_schema_error_names_the_field(tmp_path, capsys):
@@ -254,19 +255,25 @@ def test_jsd_grid_fields_are_config_errors(tmp_path, capsys, key, value):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("section,key", [("nonlinear", "gamma_per_w_m"),
-                                         ("pulse", "peak_power_mw")])
-def test_contrast_sweep_zero_pair_rate_is_domain_error(tmp_path, capsys,
+@pytest.mark.parametrize("subcommand,section,key", [
+    pytest.param("contrast-sweep", "nonlinear", "gamma_per_w_m", id="nonlinear-gamma_per_w_m"),
+    pytest.param("contrast-sweep", "pulse", "peak_power_mw", id="pulse-peak_power_mw"),
+    # the steps before the contrast sweep succeed, and their files are not written
+    pytest.param("report", "pulse", "peak_power_mw", id="report-pulse-peak_power_mw"),
+])
+def test_contrast_sweep_zero_pair_rate_is_domain_error(tmp_path, capsys, subcommand,
                                                        section, key):
     # any warning (the log of a zero rate) fails the test by the filter above
     def edit(raw):
         raw[section][key] = 0.0
 
-    assert run("contrast-sweep", "--config", str(reference_variant(tmp_path, edit)),
-               "--out", str(tmp_path / "o")) == 3
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and "pair rate is zero" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +378,15 @@ def test_overwrite_requires_force(tiny_config, tmp_path, capsys):
     assert run("stim-sweep", "--config", str(tiny_config), "--out", str(out)) == 0
     assert run("stim-sweep", "--config", str(tiny_config), "--out", str(out)) == 4
     assert "--force" in capsys.readouterr().err
+
+
+def test_report_refuses_to_overwrite_before_writing_anything(tiny_config, tmp_path, capsys):
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "design.json").write_text("{}\n")
+    assert run("report", "--config", str(tiny_config), "--out", str(out)) == 4
+    assert "design.json (use --force)" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["design.json"]
 
 
 def test_stim_sweep_json_external_factor(tiny_config, tmp_path):
@@ -535,6 +551,39 @@ def test_report_data_files_are_deterministic(tiny_config, tmp_path):
                         if p.name != "run_meta.json"})
     assert len(outputs[0]) == 7
     assert outputs[0] == outputs[1]
+
+
+def _returned(subcommand, raw, fmt, points=None):
+    """Each file that the runner of `subcommand` returns for `raw`, by name, as text."""
+    files, _ = cli._RUNNERS[subcommand](cli.build_scenario(raw), fmt, points, None)
+    return {name: text + "".join(blocks) for name, text, blocks in files}
+
+
+@pytest.mark.parametrize("subcommand,raw,points", [
+    ("report", TINY, None),
+    ("report", {key: value for key, value in TINY.items() if key != "jsd"}, None),
+    ("stim-sweep", TINY, 37),
+], ids=["report", "report-default-jsd", "stim-sweep-points"])
+def test_benchmark_expected_outputs_match_the_runners(monkeypatch, subcommand, raw, points):
+    # the benchmark's output check keeps its own copy of the point-count rules
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+    files = _returned(subcommand, raw, "csv", points)
+    rows = {name: text.count("\n") - 1 for name, text in files.items() if name.endswith(".csv")}
+    docs = sorted(name for name in files if name.endswith(".json"))
+    expected_rows, expected_docs = workloads.expected_outputs(subcommand, raw, points)
+    assert rows == expected_rows
+    assert docs == sorted(expected_docs)
+
+
+def test_readme_output_schemas_name_every_report_file():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Output schemas", 1)[1].split("\n## ", 1)[0]
+    ring = cli.load_config_dict(cli.bundled_config_path())["ring_comparator"]
+    names = {"run_meta.json"}
+    for fmt in ("csv", "json"):
+        names.update(_returned("report", dict(TINY, ring_comparator=ring), fmt))
+    assert not [name for name in sorted(names) if f"`{name}`" not in section]
 
 
 def test_quiet_suppresses_chatter(tiny_config, tmp_path, capsys):
