@@ -5,8 +5,9 @@ Design rules:
   run metadata (clock, versions) lives in a sidecar `run_meta.json`;
 * exit codes separate config errors (2), domain errors (3), and I/O errors
   (4); an unknown or duplicate config key is a config error;
-* a runner computes its files and messages and writes nothing; _Out writes
-  them once the runner has returned, so a failed run leaves no data files;
+* a runner computes its files and messages and writes nothing; _Out.save
+  writes every file through _Out.write once every step's runner has
+  returned, so a failed run leaves no data files;
 * the table _SCHEMA is the config schema; physical fields carry unit
   suffixes (_nm, _um, _mw, _ghz, _ns, _ps) and are converted to SI on load;
 * the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
@@ -162,7 +163,7 @@ def load_config_dict(path) -> dict:
         raise IOFailure(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_mark_duplicates)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # also a huge integer, deep nesting
         raise ConfigError(f"{p}: not valid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
@@ -313,9 +314,12 @@ class _Out:
         return target
 
     def save(self, files, messages, subcommand: str, config_path) -> None:
-        """Write `files`, a runner's (name, text, blocks) triples, then the
-        sidecar; print the runner's `messages` and the paths written. No file
-        is written when one of them exists and --force is not given."""
+        """Write `files`, the runners' (name, text, blocks) triples, then the
+        sidecar; print the runners' `messages` and the data files written. No
+        file is written when a data file exists and --force is not given."""
+        import datetime
+
+        from . import __version__
         for name, _, _ in files:
             if (self.dir / name).exists() and not self.force:
                 raise IOFailure(f"refusing to overwrite {self.dir / name} (use --force)")
@@ -324,27 +328,16 @@ class _Out:
         except OSError as exc:
             raise IOFailure(f"cannot create output directory {self.dir}: {exc}")
         written = [self.write(*file) for file in files]
-        self.sidecar(subcommand, config_path)
-        if not self.quiet:
-            for line in messages + [f"wrote {path}" for path in written]:
-                print(line)
-
-    def sidecar(self, subcommand: str, config_path) -> None:
-        """Run metadata; the only file allowed to differ between runs."""
-        import datetime
-
-        from . import __version__
         meta = {
             "tool": f"braggsim {__version__}",
             "subcommand": subcommand,
             "config": str(config_path),
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-        target = self.dir / "run_meta.json"
-        try:
-            target.write_text(json.dumps(meta, indent=2) + "\n")
-        except OSError as exc:
-            raise IOFailure(f"cannot write {target}: {exc}")
+        self.write("run_meta.json", json.dumps(meta, indent=2) + "\n")
+        if not self.quiet:
+            for line in messages + [f"wrote {path}" for path in written]:
+                print(line)
 
 
 def _json_text(obj) -> str:
@@ -460,7 +453,7 @@ def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     from .quantum import contrast_sweep
     report = contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                             cfg.params, cfg.pulse, cfg.signal_window)
-    slope_text = "undefined (single point)" if report.slope is None \
+    slope_text = "undefined (fewer than two distinct contrasts)" if report.slope is None \
         else f"{report.slope:.3f}"
     messages = [f"contrast-sweep slope {slope_text}"]
     extras = {"slope": report.slope, "target_rejection_db": report.target_rejection_db}
@@ -544,18 +537,7 @@ def _run_jsd(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     return files, messages
 
 
-def _run_report(cfg: ScenarioConfig, fmt: str, points, rejection_db):
-    files, messages = [], []
-    for name in ("spectrum", "design", "stim-sweep", "spont-rate",
-                 "contrast-sweep", "jsd"):
-        # --points sets only the spectrum grid
-        more_files, more_messages = _RUNNERS[name](
-            cfg, fmt, points if name == "spectrum" else None, None)
-        files += more_files
-        messages += more_messages
-    return files, messages
-
-
+# report runs every subcommand of this table, in table order
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "design": _run_design,
@@ -563,8 +545,14 @@ _RUNNERS = {
     "spont-rate": _run_spont_rate,
     "contrast-sweep": _run_contrast_sweep,
     "jsd": _run_jsd,
-    "report": _run_report,
 }
+
+
+def _steps(subcommand: str, points):
+    """The (runner name, --points) pair of each step that `subcommand` runs;
+    under report, --points sets only the spectrum grid."""
+    names = _RUNNERS if subcommand == "report" else (subcommand,)
+    return [(name, points if name in (subcommand, "spectrum") else None) for name in names]
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +564,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="braggsim",
         description="Transfer-matrix and four-wave-mixing simulator for "
                     "corrugated-waveguide filters and microring pair sources.")
-    parser.add_argument("subcommand", choices=_RUNNERS)
+    parser.add_argument("subcommand", choices=[*_RUNNERS, "report"])
     parser.add_argument("--config", default=None,
                         help="scenario config (default: bundled reference)")
     parser.add_argument("--out", default=None,
@@ -604,8 +592,12 @@ def run_scenario(args) -> int:
     _walk(_Field("", "integer", nullable=True, bound=(">=", 2)), args.points, "--points")
     _walk(_Field("", "number", nullable=True), args.rejection_db, "--rejection-db")
 
-    files, messages = _RUNNERS[args.subcommand](cfg, args.format, args.points,
-                                                args.rejection_db)
+    files, messages = [], []
+    for name, points in _steps(args.subcommand, args.points):
+        more_files, more_messages = _RUNNERS[name](cfg, args.format, points,
+                                                   args.rejection_db)
+        files += more_files
+        messages += more_messages
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
     _Out(out_dir, force=args.force, quiet=args.quiet).save(files, messages, args.subcommand,
                                                            config_path)

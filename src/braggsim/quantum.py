@@ -352,7 +352,7 @@ class ContrastReport:
     """Pair rate against index contrast at fixed designed rejection."""
 
     sweep: SweepResult
-    slope: float | None           # d log(rate) / d log(delta_n); None if 1 point
+    slope: float | None           # d log(rate) / d log(delta_n); None if < 2 distinct contrasts
     target_rejection_db: float
 
 
@@ -390,7 +390,7 @@ def contrast_sweep(base_spec: GratingSpec, target_rejection_db: float,
                               "the contrast law is undefined")
 
     slope = None
-    if contrasts.size >= 2:
+    if contrasts[-1] > contrasts[0]:    # at least two distinct contrasts
         slope = float(np.polyfit(np.log(contrasts), np.log(rates), 1)[0])
     sweep = SweepResult(
         x_name="delta_n",

@@ -86,7 +86,12 @@ def test_missing_config_is_io_error(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b"\xff{}",
+    b'{"structure": {"n_periods": ' + b"9" * 5000 + b"}}",
+    b'{"structure": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["not-json", "not-utf8", "huge-integer", "deep-nesting"])
 def test_unparseable_config_is_config_error(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -553,9 +558,32 @@ def test_report_data_files_are_deterministic(tiny_config, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("points", [None, "21"])
+def test_report_is_its_steps(tiny_config, tmp_path, points):
+    # report writes the data files of the six other subcommands byte for
+    # byte, and its --points resizes only the spectrum
+    def data_files(subcommand, *flags):
+        out = tmp_path / subcommand
+        assert run(subcommand, "--config", str(tiny_config), "--out", str(out), "--quiet",
+                   *flags) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"}
+
+    flags = () if points is None else ("--points", points)
+    steps = {}
+    for subcommand in ("spectrum", "design", "stim-sweep", "spont-rate", "contrast-sweep",
+                       "jsd"):
+        steps.update(data_files(subcommand, *(flags if subcommand == "spectrum" else ())))
+    assert len(steps) == 7
+    assert steps["spectrum.csv"].count(b"\n") == (82 if points is None else 22)
+    assert data_files("report", *flags) == steps
+
+
 def _returned(subcommand, raw, fmt, points=None):
-    """Each file that the runner of `subcommand` returns for `raw`, by name, as text."""
-    files, _ = cli._RUNNERS[subcommand](cli.build_scenario(raw), fmt, points, None)
+    """Each file that the steps of `subcommand` return for `raw`, by name, as text."""
+    cfg = cli.build_scenario(raw)
+    files = []
+    for name, step_points in cli._steps(subcommand, points):
+        files += cli._RUNNERS[name](cfg, fmt, step_points, None)[0]
     return {name: text + "".join(blocks) for name, text, blocks in files}
 
 

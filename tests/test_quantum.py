@@ -632,11 +632,15 @@ class TestContrastSweep:
         rates = rep.sweep.column("pair_rate_per_s")
         assert np.all(np.diff(rates) < 0)
 
-    def test_single_point(self):
-        rep = quantum.contrast_sweep(REF, 12.0, [3e-3], PARAMS, PULSE,
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("contrasts", [[3e-3], [3e-3, 3e-3]],
+                             ids=["one-contrast", "two-equal-contrasts"])
+    def test_single_point(self, contrasts):
+        # fewer than two distinct contrasts leave the slope undefined
+        rep = quantum.contrast_sweep(REF, 12.0, contrasts, PARAMS, PULSE,
                                      SIGNAL_WIN)
         assert rep.slope is None
-        assert rep.sweep.x.size == 1
+        assert rep.sweep.x.size == len(contrasts)
 
     def test_contrast_domain(self):
         with pytest.raises(model.InvalidArgument):
