@@ -486,19 +486,24 @@ def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
 
 
 _JSD_CSV_HEADER = "lambda_signal_nm,lambda_idler_nm,jsd_normalized\n"
+_JSD_BLOCK = 16  # signal rows per block of JSD CSV text; bounds the temporaries
 
 
 def _jsd_csv(state):
-    """The rows of the JSD CSV below _JSD_CSV_HEADER, one block of text per
-    signal wavelength, ascending in wavelength on both axes (the grids
-    ascend in frequency); each wavelength is formatted once, and each block
-    with one % operation on a template that holds them."""
-    from .model import _FMT, _FMT_PERCENT
-    lam1 = [_FMT.format(x) for x in (state.signal_grid.wavelengths[::-1] * 1e9).tolist()]
-    lam2 = [_FMT.format(x) for x in (state.idler_grid.wavelengths[::-1] * 1e9).tolist()]
-    for l1, jsd_row in zip(lam1, state.jsd[::-1, ::-1]):
-        template = "".join(f"{l1},{l2},{_FMT_PERCENT}\n" for l2 in lam2)
-        yield template % tuple(jsd_row.tolist())
+    """The rows of the JSD CSV below _JSD_CSV_HEADER, ascending in wavelength
+    on both axes (the grids ascend in frequency), as one block of text per
+    _JSD_BLOCK signal wavelengths; each wavelength is formatted once."""
+    import numpy as np
+
+    from .model import _csv_rows, _format_cells
+    lam1 = _format_cells(state.signal_grid.wavelengths[::-1] * 1e9)
+    lam2 = _format_cells(state.idler_grid.wavelengths[::-1] * 1e9)
+    jsd = state.jsd[::-1, ::-1]
+    for start in range(0, lam1.shape[0], _JSD_BLOCK):
+        rows = lam1[start:start + _JSD_BLOCK]
+        yield _csv_rows([np.repeat(rows, lam2.shape[0], axis=0),
+                         np.tile(lam2, (rows.shape[0], 1)),
+                         _format_cells(jsd[start:start + _JSD_BLOCK])])
 
 
 def _jsd_header(state, report) -> dict:

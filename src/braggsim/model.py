@@ -411,7 +411,96 @@ class NonlinearParams:
 
 
 _FMT = "{:.8e}"  # fixed scientific notation, 9 significant digits
-_FMT_PERCENT = "%.8e"  # the same format, for the % operator on a row template
+
+# A cell is the _FMT text of one value in 16 byte slots, 0 where unused:
+# sign, digit, ".", 8 digits, "e", exponent sign, hundreds, tens, units
+# (non-finite text is left-aligned instead)
+_CELL = 16
+_DIGIT_SLOTS = (10, 9, 8, 7, 6, 5, 4, 3, 1)  # mantissa digits, last first
+# used slots by layout code: 1 for a minus sign, 2 for a 3-digit exponent
+_SLOTS = [np.array([s for s in range(_CELL)
+                    if (s != 0 or code & 1) and (s != 13 or code & 2)])
+          for code in range(4)]
+_SLOTS_ALL = np.arange(_CELL)
+_POW10 = np.array([10.0 ** p for p in range(301)])
+# a scaled value closer than this to a rounding tie is formatted by _FMT
+_TIE_MARGIN = 1e-4
+
+
+def _format_cells(values) -> np.ndarray:
+    """The _FMT text of each value as one row of an (n, 16) uint8 table of
+    cells, byte for byte equal to _FMT.format.
+
+    Each value is split into sign, exponent e = floor(log10|x|) and the
+    9-digit mantissa m = rint(|x| 10^(8 - e)), the scale capped at 10^300.
+    The scaled value is good to a few units of 1e-7, so m is exact unless
+    it lies within _TIE_MARGIN of a rounding tie. Such values, values whose
+    scaled value is not in [1e8, 1e9) (subnormals among them) and non-finite
+    values are formatted by _FMT.format instead."""
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    nonzero = np.isfinite(x) & (a != 0.0)
+    e = np.zeros(x.size, dtype=np.int64)
+    e[nonzero] = np.floor(np.log10(a[nonzero]))
+    k = 8 - e
+    scale = _POW10[np.minimum(np.abs(k), 300)]
+    y = np.zeros_like(a)            # |x| 10^k, for finite nonzero x only
+    np.multiply(a, scale, out=y, where=nonzero & (k >= 0))
+    np.divide(a, scale, out=y, where=nonzero & (k < 0))
+    m = np.rint(y)
+    slow = ~np.isfinite(x) | (nonzero & ((y < 1e8) | (y >= 1e9)
+                                         | (np.abs(y - np.floor(y) - 0.5) < _TIE_MARGIN)))
+    m[slow] = 0
+    carry = m == 1e9                # 9.9999999995 rounds to 1.00000000e+01
+    m[carry] = 1e8
+    e += carry
+    m = m.astype(np.int32)
+    non_finite = {}
+    for i in np.flatnonzero(slow).tolist():
+        text = _FMT.format(x[i])
+        if text[-2].isdigit():      # finite: take its digits and exponent
+            body = text.lstrip("-")
+            m[i], e[i] = int(body[0] + body[2:10]), int(body[11:])
+        else:
+            non_finite[i] = text
+
+    cells = np.zeros((x.size, _CELL), dtype=np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    for slot in _DIGIT_SLOTS:       # int32 by a scalar is numpy's fast division
+        rest = m // 10
+        cells[:, slot] = m - 10 * rest + ord("0")
+        m = rest
+    cells[:, 2] = ord(".")
+    cells[:, 11] = ord("e")
+    cells[:, 12] = np.where(e < 0, ord("-"), ord("+"))
+    ae = np.abs(e).astype(np.int32)
+    cells[:, 13] = np.where(ae >= 100, ae // 100 + ord("0"), 0)
+    cells[:, 14] = ae // 10 % 10 + ord("0")
+    cells[:, 15] = ae % 10 + ord("0")
+    for i, text in non_finite.items():
+        cells[i] = 0
+        cells[i, :len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return cells
+
+
+def _csv_rows(columns) -> str:
+    """CSV rows from equal-length cell tables (_format_cells), one table per
+    column: row i joins cell i of each column with commas and ends with a
+    newline. When every cell of each column uses the same slots, the slots
+    are taken by index; otherwise the unused (zero) bytes are dropped by mask."""
+    n = columns[0].shape[0]
+    codes = [(c[:, 0] != 0) + 2 * (c[:, 13] != 0) + 4 * (c[:, 11] != ord("e"))
+             for c in columns]
+    uniform = n > 0 and all(code[0] < 4 and np.all(code == code[0]) for code in codes)
+    slots = [_SLOTS[code[0]] if uniform else _SLOTS_ALL for code in codes]
+    out = np.empty((n, sum(s.size + 1 for s in slots)), dtype=np.uint8)
+    at = 0
+    for c, s in zip(columns, slots):
+        out[:, at:at + s.size] = c[:, s]
+        out[:, at + s.size] = ord(",")
+        at += s.size + 1
+    out[:, -1] = ord("\n")
+    return (out if uniform else out[out != 0]).tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -438,10 +527,8 @@ class SweepResult:
         return self.columns[name]
 
     def to_csv_text(self) -> str:
-        """The header and every row, formatted with one % operation."""
-        series = [self.x, *self.columns.values()]
-        template = ",".join([_FMT_PERCENT] * len(series)) + "\n"
-        rows = template * self.x.size % tuple(np.column_stack(series).ravel().tolist())
+        """The header and every row, each value formatted as _FMT."""
+        rows = _csv_rows([_format_cells(s) for s in (self.x, *self.columns.values())])
         return ",".join([self.x_name, *self.columns]) + "\n" + rows
 
     def to_json_obj(self) -> dict:

@@ -110,11 +110,13 @@ def _sinc(theta, sin):
     return np.divide(sin, theta, out=np.ones_like(theta), where=theta != 0)
 
 
-def plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
-    """integral_0^length of g_1 g_2 conj(g_s) g_i over one uniform segment,
+def plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length, kind):
+    """integral_0^length of g_1 g_2 conj(g_s) g_i over each uniform segment,
     where each g = fwd * exp(i k u) + bwd * exp(-i k u) is given as its
     (fwd, bwd) pair: three pump plane waves times two each for signal and
-    idler, twelve terms in total. Arguments broadcast."""
+    idler, twelve terms in total. The amplitudes hold one row per segment;
+    the wavenumbers and lengths one row per segment kind, and kind[j] is
+    the row of segment j, so each integral is evaluated once per kind."""
     pump = ((pump1[0] * pump2[0], 2.0),
             (pump1[0] * pump2[1] + pump1[1] * pump2[0], 0.0),
             (pump1[1] * pump2[1], -2.0))
@@ -127,8 +129,8 @@ def plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
         for cs, ss in sig:
             by_signal = 0.0
             for ci, si in idl:
-                by_signal = by_signal + ci * segment_exp_integral(
-                    sp * kp + ss * ks + si * ki, length)
+                integral = segment_exp_integral(sp * kp + ss * ks + si * ki, length)
+                by_signal = by_signal + ci * integral[kind]
             by_pump = by_pump + cs * by_signal
         total = total + cp * by_pump
     return total
@@ -136,12 +138,15 @@ def plane_wave_integral(pump1, pump2, signal, idler, kp, ks, ki, length):
 
 def overlap_segment_sum(spec, omega_p, omega_s, omega_i):
     """J element-wise as a sum over every uniform segment of the structure,
-    with the fields of the forward segment recursion. Its memory grows as
-    segments x elements, so callers pass a few hundred elements at a time."""
+    with the fields of the forward segment recursion. The segments come in a
+    few kinds (the two layers of a period, the leads), so the integrals are
+    evaluated per kind and frequency. Its memory grows as segments x
+    elements, so callers pass a few hundred elements at a time."""
     _, lengths, n_effs, Ap, Bp = transfer._segment_amplitudes(spec, omega_p, "left")
     _, _, _, As, Bs = transfer._segment_amplitudes(spec, omega_s, "left")
     _, _, _, Ai, Bi = transfer._segment_amplitudes(spec, omega_i, "right")
-    kp, ks, ki = (np.outer(n_effs, w) / C0 for w in (omega_p, omega_s, omega_i))
+    kinds, kind = np.unique(np.column_stack([n_effs, lengths]), axis=0, return_inverse=True)
+    kp, ks, ki = (np.outer(kinds[:, 0], w) / C0 for w in (omega_p, omega_s, omega_i))
     terms = plane_wave_integral((Ap, Bp), (Ap, Bp), (As, Bs), (Ai, Bi),
-                                kp, ks, ki, lengths[:, None])
+                                kp, ks, ki, kinds[:, 1:], kind.ravel())
     return np.sum(terms, axis=0)

@@ -517,23 +517,38 @@ def test_jsd_csv_is_streamed_unchanged(tmp_path):
 
 
 def test_jsd_csv_matches_per_value_format():
-    # each block is formatted with one % operation on a per-row template; it
-    # must equal _FMT applied value by value, here on a non-square state whose
-    # values span many decades and include an exact zero
+    # the blocks of cli._JSD_BLOCK signal rows are formatted by numpy
+    # (model._format_cells); they must equal _FMT applied value by value,
+    # here on a non-square state of two blocks whose values span many
+    # decades and include an exact zero and a density below 1e-99 (a 3-digit
+    # exponent)
     import numpy as np
     from braggsim import model
     from braggsim.quantum import TwoPhotonState
     rng = np.random.default_rng(5)
-    amp = 1e-11 * rng.standard_normal((5, 7)) * 10.0 ** rng.uniform(-6.0, 0.0, (5, 7))
+    amp = 1e-11 * rng.standard_normal((20, 7)) * 10.0 ** rng.uniform(-6.0, 0.0, (20, 7))
     amp[1, 2] = 0.0
-    state = TwoPhotonState(amp, model.grid_around_omega(1.21e15, 2e11, 5),
+    amp[3, 4] = 1e-70
+    state = TwoPhotonState(amp, model.grid_around_omega(1.21e15, 2e11, 20),
                            model.grid_around_omega(1.23e15, 3e11, 7))
     lam1 = state.signal_grid.wavelengths * 1e9
     lam2 = state.idler_grid.wavelengths * 1e9
     expected = "".join(
         ",".join(model._FMT.format(float(v)) for v in (lam1[a], lam2[b], state.jsd[a, b]))
-        + "\n" for a in range(4, -1, -1) for b in range(6, -1, -1))
+        + "\n" for a in range(19, -1, -1) for b in range(6, -1, -1))
+    assert state.jsd[3, 4] < 1e-99 and cli._JSD_BLOCK < 20
     assert "".join(cli._jsd_csv(state)) == expected
+
+
+def test_report_and_jsd_raise_no_warning(tiny_config, tmp_path):
+    # the numpy formatter and the FFT pump-pair spectrum must stay silent
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("report", "--config", str(tiny_config), "--out",
+                   str(tmp_path / "report"), "--quiet") == 0
+        assert run("jsd", "--config", str(cli.bundled_config_path()), "--out",
+                   str(tmp_path / "jsd"), "--quiet") == 0
 
 
 def test_report_writes_everything(tiny_config, tmp_path):

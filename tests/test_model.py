@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braggsim import model, quantum
 from braggsim.constants import HBAR, SPEED_OF_LIGHT
@@ -329,6 +332,61 @@ def test_profile_fwhm_equals_its_scan():
         assert _bits(quantum._profile_fwhm(x, y)) == _bits(_profile_fwhm_scan(x, y))
 
 
+# --------------------------------------------------------------------------
+# the numpy _FMT formatter
+
+def _ties():
+    """Doubles whose exact decimal has ten digits, the last a 5: (10 n + 5) 2^-k
+    has the digits of (10 n + 5) 5^k, so n is taken where those are ten digits
+    long. Scaled by 10^j too, which keeps them exact."""
+    ties = []
+    for k in range(11):
+        lo, hi = -(-(10 ** 9 // 5 ** k - 5) // 10), (10 ** 10 // 5 ** k - 5) // 10
+        ties += [(10 * n + 5) * 2.0 ** -k * 10.0 ** (k % 6)
+                 for n in np.linspace(lo, hi, 200, dtype=np.int64).tolist()]
+    return ties
+
+
+_POWERS = [10.0 ** p for p in range(-307, 308)]
+_TIES = _ties()
+_rng = np.random.default_rng(17)
+_FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 9.9999999995,
+    *_POWERS, *np.nextafter(_POWERS, 0.0), *np.nextafter(_POWERS, np.inf),
+    *_TIES, *np.nextafter(_TIES, 0.0), *np.nextafter(_TIES, np.inf),
+    # the doubles nearest to decimal ties, at every scale: without the tie
+    # margin a third of these round the wrong way
+    *(float(f"{d}5e{p}") for d, p in zip(_rng.integers(10 ** 8, 10 ** 9, 3000).tolist(),
+                                         _rng.integers(-315, 300, 3000).tolist())),
+    # subnormals
+    *(_rng.uniform(0.0, 2.2250738585072014e-308, 200)),
+]
+
+
+def _formatted_lines(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return model._csv_rows([model._format_cells(values)]).splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_format_cells_equals_fmt(values):
+    assert _formatted_lines(values) == [model._FMT.format(v) for v in values]
+
+
+def test_format_cells_equals_fmt_on_edges():
+    from decimal import Decimal
+    digits = [Decimal(v).normalize().as_tuple().digits for v in _TIES]
+    assert all(len(d) == 10 and d[-1] == 5 for d in digits)
+    values = np.concatenate([_FORMAT_EDGES, np.negative(_FORMAT_EDGES),
+                             [np.nan, -np.nan, np.inf, -np.inf]]).tolist()
+    assert _formatted_lines(values) == [model._FMT.format(v) for v in values]
+    # one value per table: every table takes its slots by index
+    for v in values[::25]:
+        assert _formatted_lines([v]) == [model._FMT.format(v)]
+
+
 class TestSweepResult:
     def test_csv_layout(self):
         r = model.SweepResult(x_name="x", x=np.array([1.0, 2.5]),
@@ -337,6 +395,21 @@ class TestSweepResult:
         assert lines[0] == "x,y"
         assert lines[1] == "1.00000000e+00,2.50000000e-01"
         assert lines[2] == "2.50000000e+00,1.00000000e-10"
+
+    def test_csv_matches_per_value_format(self):
+        # columns of one width, of mixed widths, and of non-finite values
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        columns = {"neg": np.array([-1.5, -2e-5, -3e300, -0.0, -7.0, -1e-200]),
+                   "mixed": np.array([0.25, -0.0, 1e-120, np.nan, -np.inf, np.inf]),
+                   "pos": np.array([0.0, 1e10, 9.9999999995, 5e-324, 1.0, 2.0])}
+        r = model.SweepResult(x_name="x", x=x, columns=columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = r.to_csv_text().splitlines()
+        assert lines[0] == "x,neg,mixed,pos"
+        assert lines[1:] == [",".join(model._FMT.format(float(c[i]))
+                                      for c in (x, *columns.values()))
+                             for i in range(x.size)]
 
     def test_json_obj_mirrors_columns(self):
         r = model.SweepResult(x_name="x", x=np.array([1.0]),

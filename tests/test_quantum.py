@@ -483,6 +483,11 @@ def test_pump_pair_spectrum_matches_direct_sum(pulse):
         np.trapezoid(a * _closed_form_pump_amplitude(pulse, w_p0, g_p, s - wp, lo, hi), wp)
         for s in sums[picks]]) / (2.0 * math.pi)
     assert np.max(np.abs(h[picks] - direct)) <= 1e-10 * np.max(np.abs(h))
+    # H is an FFT autoconvolution: against the direct one of the same samples
+    grid = model.FrequencyGrid(points=wp, spacing=(hi - lo) / 8000)
+    samples = model.pump_spectral_amplitude(pulse, grid) * quantum._lorentzian(wp - w_p0, g_p)
+    convolved = np.convolve(samples, samples) * grid.spacing / (2.0 * math.pi)
+    assert np.max(np.abs(h - convolved)) <= 1e-13 * np.max(np.abs(h))
 
 
 # --------------------------------------------------------------------------
