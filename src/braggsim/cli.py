@@ -170,11 +170,6 @@ def load_config_dict(path) -> dict:
     return raw
 
 
-def serialize_config(raw: dict) -> str:
-    """Canonical JSON form; load -> serialize -> load is the identity."""
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
-
-
 def _walk(field: _Field, value, path: str):
     """`value` checked against its table entry and scaled to SI units. A sub-table
     gives the keyword arguments of its keys; those absent take their default."""
@@ -246,7 +241,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     def pump_pulse(path, kwargs, written):
         if ("duration_ns" in written) == ("duration_ps" in written):
             raise ConfigError(f"{path}: exactly one of duration_ns/duration_ps is required")
-        kwargs["shape"] = model.PulseShape(kwargs["shape"])
         return build(path, model.PumpPulse, kwargs)
 
     c = _walk(_SCHEMA, raw, "")

@@ -33,7 +33,7 @@ from .model import (
     wavelength_from_omega,
 )
 from .threads import thread_count
-from .transfer import BlochField, _bloch_fields, _segment_amplitudes, wavenumber
+from .transfer import _bloch_fields, _period_segments, _segment_amplitudes
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -257,8 +257,7 @@ def _segment_factors(spec: GratingSpec, omega: np.ndarray, role: str) -> dict:
     amps = np.stack([a, b], axis=1)                  # (segment, fwd/bwd, elements)
     n, first = spec.n_periods, int(spec.lead_in_length > 0)
     period = np.moveaxis(amps[first:first + 2 * n].reshape((n, 2, 2, -1)), 0, -1)
-    k = np.stack([wavenumber(spec.n_lo, omega), wavenumber(spec.n_hi, omega)])
-    return _fold(spec, role, k, np.ascontiguousarray(period)[None], amps[0], amps[-1])
+    return _fold(spec, role, omega, np.ascontiguousarray(period)[None], amps[0], amps[-1])
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -290,8 +289,7 @@ def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
     field = _bloch_fields(spec, np.concatenate([omega_p, omega_s, omega_i]),
                           np.repeat([False, False, True], sizes))
     bounds = np.cumsum([0] + sizes)
-    return tuple(_field_factors(spec, BlochField(**{name: v[lo:hi] for name, v
-                                                   in vars(field).items()}), role)
+    return tuple(_field_factors(spec, {name: v[..., lo:hi] for name, v in field.items()}, role)
                  for lo, hi, role in zip(bounds, bounds[1:], ("pump", "signal", "idler")))
 
 
@@ -323,10 +321,10 @@ def _power(log_ratio, n: int):
             * np.exp(1j * (n * (log_ratio.imag - high))))
 
 
-def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
+def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     """The per-frequency factors of one field ('pump', 'signal' or 'idler')
-    that _bloch_chunk reads, with the frequency axis last: the tables of
-    _fold, whose period amplitudes are coef times each mode's, and
+    of _bloch_fields that _bloch_chunk reads, with the frequency axis last:
+    the tables of _fold, and
 
     - ratio, log_ratio:  (mode,)  per-period eigenvalue, and its log
     - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
@@ -339,7 +337,7 @@ def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
     _pairs. The signal's factors are conjugated, as J reads it.
     """
     n = spec.n_periods
-    lr = field.log_ratio.T
+    lr = field["log_ratio"]
     ratio = np.exp(lr)
     one = np.ones_like(ratio[0])
     num = np.array([[one, _power(lr[1], n)], [_power(-lr[0], n), one]])
@@ -350,22 +348,20 @@ def _field_factors(spec: GratingSpec, field: BlochField, role: str) -> dict:
         num = np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1)
     elif role == "signal":
         ratio, lr, num = np.conj(ratio), np.conj(lr), np.conj(num)
-    table = {"omega": field.omega, "band_edge": field.band_edge,
-             "growth": n * np.max(field.log_ratio.real, axis=-1),
+    table = {"omega": field["omega"], "band_edge": field["band_edge"],
+             "growth": n * np.max(field["log_ratio"].real, axis=0),
              "ratio": ratio, "log_ratio": lr, "num": num}
-
-    table.update(_fold(spec, role, field.k.T,
-                       np.moveaxis(field.coef[..., None, None] * field.segments, 0, -1),
-                       field.lead_in.T, field.lead_out.T))
+    table.update(_fold(spec, role, field["omega"], field["period"],
+                       field["lead_in"], field["lead_out"]))
     # contiguous, so that the kernel's inner loops run along frequency
     return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
 
-def _fold(spec: GratingSpec, role: str, k, period, lead_in, lead_out) -> dict:
-    """The tables of one field that _wave_sum reads, from the wavenumbers k
-    (segment, elements) of a period's two segments, the amplitudes `period`
-    (mode, segment, fwd/bwd, elements, ...) at each segment's left edge and
-    the lead states (fwd/bwd, elements):
+def _fold(spec: GratingSpec, role: str, omega, period, lead_in, lead_out) -> dict:
+    """The tables of one field that _wave_sum reads, from its frequencies
+    omega (elements), the amplitudes `period` (mode, segment, fwd/bwd,
+    elements, ...) at each segment's left edge and the lead states
+    (fwd/bwd, elements):
 
     - period:        (mode, segment, wave, elements, ...)  the amplitude of
                      each plane wave of _WAVES; the pump's are those of each
@@ -377,12 +373,12 @@ def _fold(spec: GratingSpec, role: str, k, period, lead_in, lead_out) -> dict:
                      lead, one segment of one mode; present only if the lead
                      has a length
     """
-    d_lo = spec.duty_cycle * spec.period
-    parts = {"period": (np.array([d_lo, spec.period - d_lo]), k, period)}
+    k, lengths = _period_segments(spec, omega)
+    parts = {"period": (np.array(lengths), np.stack(k), period)}
     for name, length, state in (("lead_in", spec.lead_in_length, lead_in),
                                 ("lead_out", spec.lead_out_length, lead_out)):
         if length > 0:
-            parts[name] = (np.array([length]), k[1:], state[None, None])
+            parts[name] = (np.array([length]), k[1][None], state[None, None])
     table = {}
     for name, (lengths, k, amps) in parts.items():
         trailing = (1,) * (amps.ndim - 3)

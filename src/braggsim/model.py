@@ -161,8 +161,10 @@ class GratingSpec:
             raise InvalidArgument("period must be > 0")
         if not 0.0 < self.duty_cycle < 1.0:
             raise InvalidArgument("duty_cycle must lie strictly between 0 and 1")
-        if int(self.n_periods) != self.n_periods or self.n_periods < 1:
+        if isinstance(self.n_periods, (bool, np.bool_)) or \
+                int(self.n_periods) != self.n_periods or self.n_periods < 1:
             raise InvalidArgument("n_periods must be a positive integer")
+        object.__setattr__(self, "n_periods", int(self.n_periods))
         if self.n_lo <= 1.0:
             raise InvalidArgument("n_lo must exceed 1")
         if abs(self.delta_n) / self.n_lo > 0.1:
@@ -288,6 +290,10 @@ class PumpPulse:
     center_wavelength: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "shape", PulseShape(self.shape))
+        except ValueError:
+            raise InvalidArgument(f"unknown pulse shape {self.shape!r}") from None
         _require_finite(self)
         if self.duration <= 0 or self.peak_power < 0 or self.center_wavelength <= 0:
             raise InvalidArgument("pulse duration/peak power/center wavelength out of range")

@@ -164,8 +164,14 @@ def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
     must straddle that stripe or no pairs are collected. The pump convolution
     is evaluated in the long-pulse limit: both pump photons sit at the
     energy-conserving midpoint of (w1, w2), and the squared-envelope spectrum
-    G carries the detuning dependence.
+    G carries the detuning dependence. The two windows must be equally wide,
+    so that their grids share one spacing (see overlap_table).
     """
+    if abs(signal_window.width - idler_window.width) > 1e-9 * signal_window.width:
+        ghz = 2.0 * math.pi * 1e9
+        raise InvalidArgument(
+            f"signal and idler windows must be equally wide: signal "
+            f"{signal_window.width / ghz:g} GHz, idler {idler_window.width / ghz:g} GHz")
     signal_grid = signal_window.grid(n_points)
     idler_grid = idler_window.grid(n_points)
 

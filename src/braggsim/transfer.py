@@ -45,6 +45,14 @@ def wavenumber(n_eff: float, omega) -> np.ndarray:
     return n_eff * np.asarray(omega) / C0
 
 
+def _period_segments(spec: GratingSpec, omega):
+    """((k_lo, k_hi), (d_lo, d_hi)): the wavenumbers and lengths of a period's
+    low-index and unperturbed segments. The leads and the ambient share k_hi."""
+    d_lo = spec.duty_cycle * spec.period
+    return ((wavenumber(spec.n_lo, omega), wavenumber(spec.n_hi, omega)),
+            (d_lo, spec.period - d_lo))
+
+
 # --------------------------------------------------------------------------
 # stacked 2x2 primitives (leading axes broadcast over frequency)
 
@@ -98,11 +106,7 @@ def _iface_stack(k1, k2) -> np.ndarray:
 
 def unit_cell_matrix(spec: GratingSpec, omega) -> np.ndarray:
     """One period as entered from the unperturbed medium, shape omega.shape + (2, 2)."""
-    omega = np.asarray(omega, dtype=float)
-    k_lo = wavenumber(spec.n_lo, omega)
-    k_hi = wavenumber(spec.n_hi, omega)
-    d_lo = spec.duty_cycle * spec.period
-    d_hi = spec.period - d_lo
+    (k_lo, k_hi), (d_lo, d_hi) = _period_segments(spec, np.asarray(omega, dtype=float))
     m = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, d_lo))
     return _mul(_mul(m, _iface_stack(k_lo, k_hi)), _prop_stack(k_hi, d_hi))
 
@@ -111,7 +115,7 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
     """Full structure (leads + grating) between unperturbed ambient media,
     shape omega.shape + (2, 2)."""
     omega = np.asarray(omega, dtype=float)
-    k_hi = wavenumber(spec.n_hi, omega)
+    (_, k_hi), _ = _period_segments(spec, omega)
     m = _mat_power(unit_cell_matrix(spec, omega), spec.n_periods)
     if spec.lead_in_length > 0:
         m = _mul(_prop_stack(k_hi, spec.lead_in_length), m)
@@ -231,16 +235,14 @@ def design_periods(target_rejection_db: float, n_lo: float, delta_n: float) -> i
 
 
 def _period_maps(spec: GratingSpec, omegas: np.ndarray):
-    """(k_lo, k_hi, into_lo, lo_to_hi, fwd): wavenumbers and forward maps of
-    one period. From the state entering a period, into_lo enters its
-    low-index segment, lo_to_hi crosses that segment and fwd the period."""
-    k_lo = wavenumber(spec.n_lo, omegas)
-    k_hi = wavenumber(spec.n_hi, omegas)
-    d_lo = spec.duty_cycle * spec.period
+    """(into_lo, lo_to_hi, fwd): forward maps of one period. From the state
+    entering a period, into_lo enters its low-index segment, lo_to_hi
+    crosses that segment and fwd the period."""
+    (k_lo, k_hi), (d_lo, d_hi) = _period_segments(spec, omegas)
     into_lo = _iface_stack(k_lo, k_hi)
     lo_to_hi = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, -d_lo))
-    fwd = _mul(_mul(_prop_stack(k_hi, -(spec.period - d_lo)), lo_to_hi), into_lo)
-    return k_lo, k_hi, into_lo, lo_to_hi, fwd
+    fwd = _mul(_mul(_prop_stack(k_hi, -d_hi), lo_to_hi), into_lo)
+    return into_lo, lo_to_hi, fwd
 
 
 def _facet_states(spec: GratingSpec, omegas: np.ndarray, side):
@@ -254,7 +256,7 @@ def _facet_states(spec: GratingSpec, omegas: np.ndarray, side):
             raise InvalidArgument("side must be 'left' or 'right'")
         side = side == "right"
     m = structure_matrix(spec, omegas)
-    k_hi = wavenumber(spec.n_hi, omegas)
+    (_, k_hi), _ = _period_segments(spec, omegas)
     one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
     right = np.asarray(side)[..., None]
     start = np.where(right, np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1),
@@ -280,7 +282,7 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     after period N, not the exact exit state, so tests of it check the recursion.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    _, _, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
+    into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
     start, entry, _ = _facet_states(spec, omegas, side)
     n = spec.n_periods
     states, power = entry[None], fwd            # power = fwd^len(states)
@@ -290,8 +292,8 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
     amps = _mul(into_segments, states[:n, None, ..., None])[..., 0]
 
-    d_lo = spec.duty_cycle * spec.period
-    parts = [(np.tile([spec.n_lo, spec.n_hi], n), np.tile([d_lo, spec.period - d_lo], n),
+    _, lengths = _period_segments(spec, omegas)
+    parts = [(np.tile([spec.n_lo, spec.n_hi], n), np.tile(lengths, n),
               amps.reshape((2 * n,) + entry.shape))]
     if spec.lead_in_length > 0:
         parts.insert(0, ([spec.n_hi], [spec.lead_in_length], start[None]))
@@ -308,41 +310,6 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
 BAND_EDGE_Q = 1e-9
 
 
-@dataclass(frozen=True)
-class BlochField:
-    """Field launched from one side of a structure, per frequency, written
-    through the two Bloch modes of the grating (Yariv & Yeh, ch. 6).
-
-    In period m (0 <= m < N) the state entering the period is
-
-        coef[0] * ratio[0]**(m - N) * e_0 + coef[1] * ratio[1]**m * e_1,
-
-    with ratio = exp(log_ratio). Mode 0 is the one that grows forward inside
-    a stopband, so it is referenced to the grating's right end and mode 1 to
-    its left end: neither power ever exceeds 1 in modulus. Leading axes
-    index frequency; trailing axes are, in order, the mode, the segment
-    (low-index then unperturbed) and the (forward, backward) pair:
-
-    - k:          (..., 2)        wavenumber in each segment
-    - log_ratio:  (..., 2)        per-period log eigenvalue of each mode
-    - coef:       (..., 2)
-    - segments:   (..., 2, 2, 2)  each mode's amplitudes at the left edge of
-                                  each segment of a period
-    - lead_in:    (..., 2)        amplitudes at z = 0 (start of the lead-in)
-    - lead_out:   (..., 2)        amplitudes at the grating's right end
-    - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
-    """
-
-    omega: np.ndarray
-    k: np.ndarray
-    log_ratio: np.ndarray
-    coef: np.ndarray
-    segments: np.ndarray
-    lead_in: np.ndarray
-    lead_out: np.ndarray
-    band_edge: np.ndarray
-
-
 def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
     """(sign of cos K Lambda, q = 1 - |cos K Lambda|) per frequency.
 
@@ -350,10 +317,9 @@ def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
     without cancellation: the trace of the multiplied period matrix loses
     ~3 digits near the Bragg condition, where |cos K Lambda| -> 1.
     """
-    k_lo = wavenumber(spec.n_lo, omegas)
-    k_hi = wavenumber(spec.n_hi, omegas)
-    d_lo = spec.duty_cycle * spec.period
-    phi_lo, phi_hi = k_lo * d_lo, k_hi * (spec.period - d_lo)
+    (k_lo, k_hi), (d_lo, d_hi) = _period_segments(spec, omegas)
+    phi_lo, phi_hi = k_lo * d_lo, k_hi * d_hi
+    # delta_n directly, not k_hi - k_lo, which would cancel
     dk = wavenumber(spec.delta_n, omegas)
     mix = dk ** 2 / (2.0 * k_lo * k_hi) * np.sin(phi_lo) * np.sin(phi_hi)
     half = 0.5 * (phi_lo + phi_hi)
@@ -362,18 +328,38 @@ def _bloch_cosine(spec: GratingSpec, omegas: np.ndarray):
     return np.where(one_plus < one_minus, -1.0, 1.0), np.minimum(one_plus, one_minus)
 
 
-def _bloch_fields(spec: GratingSpec, omegas, side) -> BlochField:
-    """Bloch-mode form of the field launched from `side` (unit amplitude from
-    that ambient; 'left', 'right' or per frequency, see _facet_states)."""
+def _bloch_fields(spec: GratingSpec, omegas, side) -> dict:
+    """The field launched from `side` (unit amplitude from that ambient;
+    'left', 'right' or per frequency, see _facet_states), per frequency,
+    written through the two Bloch modes of the grating (Yariv & Yeh, ch. 6).
+
+    In period m (0 <= m < N) the state entering the period is
+
+        coef[0] * ratio[0]**(m - N) * e_0 + coef[1] * ratio[1]**m * e_1,
+
+    with ratio = exp(log_ratio). Mode 0 is the one that grows forward inside
+    a stopband, so it is referenced to the grating's right end and mode 1 to
+    its left end: neither power ever exceeds 1 in modulus. Returns a dict of
+    arrays whose trailing axes index frequency, as omegas does; the leading
+    axes are, in order, the mode, the segment (low-index then unperturbed)
+    and the (forward, backward) pair:
+
+    - omega:      (...)           the frequencies
+    - log_ratio:  (2, ...)        per-period log eigenvalue of each mode
+    - period:     (2, 2, 2, ...)  coef times each mode's amplitudes at the
+                                  left edge of each segment of a period
+    - lead_in:    (2, ...)        amplitudes at z = 0 (start of the lead-in)
+    - lead_out:   (2, ...)        amplitudes at the grating's right end
+    - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
+    """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    k_lo, k_hi, into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
+    into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
 
     sign, q = _bloch_cosine(spec, omegas)
     root = np.sqrt(np.abs(q) / 2.0)
     # eigenvalues sign * exp(+-kappa); kappa >= 0 in a stopband, i*theta outside
     kappa = np.where(q < 0, 2.0 * np.arcsinh(root), 2j * np.arcsin(root))
     log_sign = np.where(sign < 0, 1j * math.pi, 0.0)
-    log_ratio = np.stack([log_sign + kappa, log_sign - kappa], axis=-1)
 
     # eigenvectors (F01, lambda - F00) or (lambda - F11, F10), taking for
     # each mode the form whose free entry does not cancel
@@ -388,8 +374,7 @@ def _bloch_fields(spec: GratingSpec, omegas, side) -> BlochField:
     modes[..., 0, 1] = np.where(first, -plus, f01)
     modes[..., 1, 1] = np.where(first, f10, minus)
     lo = _mul(into_lo, modes)
-    segments = np.stack([lo, _mul(lo_to_hi, lo)], axis=-1)  # (..., fwd/bwd, mode, seg)
-    segments = np.moveaxis(segments, -3, -1)                 # (..., mode, seg, fwd/bwd)
+    segments = np.stack([lo, _mul(lo_to_hi, lo)])           # (seg, ..., fwd/bwd, mode)
 
     start, entry, exit_ = _facet_states(spec, omegas, side)
 
@@ -399,8 +384,9 @@ def _bloch_fields(spec: GratingSpec, omegas, side) -> BlochField:
     coef = np.stack([
         (exit_[..., 0] * modes[..., 1, 1] - exit_[..., 1] * modes[..., 0, 1]) / det,
         (modes[..., 0, 0] * entry[..., 1] - modes[..., 1, 0] * entry[..., 0]) / det,
-    ], axis=-1)
-    return BlochField(omega=omegas, k=np.stack([k_lo, k_hi], axis=-1),
-                      log_ratio=log_ratio, coef=coef, segments=segments,
-                      lead_in=start, lead_out=exit_,
-                      band_edge=band_edge)
+    ])
+    return {"omega": omegas,
+            "log_ratio": np.stack([log_sign + kappa, log_sign - kappa]),
+            "period": coef[:, None, None] * np.moveaxis(segments, (-1, 0, -2), (0, 1, 2)),
+            "lead_in": np.moveaxis(start, -1, 0), "lead_out": np.moveaxis(exit_, -1, 0),
+            "band_edge": band_edge}

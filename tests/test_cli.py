@@ -72,14 +72,6 @@ def test_bundled_config_builds(scenario):
         1532.357e-9, abs=2e-12)
 
 
-def test_serialize_config_round_trip():
-    raw = cli.load_config_dict(cli.bundled_config_path())
-    text = cli.serialize_config(raw)
-    assert json.loads(text) == raw
-    # canonical form is stable under re-serialization
-    assert cli.serialize_config(json.loads(text)) == text
-
-
 def test_missing_config_is_io_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run("spectrum", "--config", str(missing), "--out", str(tmp_path / "o")) == 4
@@ -243,6 +235,16 @@ def test_jsd_signal_outside_model_domain(tmp_path, capsys):
                "--out", str(out)) == 3
     assert "signal wavelength outside" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_jsd_unequal_window_widths(tmp_path, capsys):
+    def edit(raw):
+        raw["windows"]["idler"]["width_ghz"] = 12.0
+
+    assert run("jsd", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert "signal 10 GHz" in err and "idler 12 GHz" in err
 
 
 @pytest.mark.parametrize("key,value", [("points", 1), ("points", 0), ("points", -3),

@@ -381,7 +381,7 @@ class TestBandEdge:
         args = ([w_p], [W_S], [2.0 * w_p - W_S])
         closed_form = fwm.overlap_elements(REF, *args)
         monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
-        assert transfer._bloch_fields(REF, [w_p], "left").band_edge.all()
+        assert transfer._bloch_fields(REF, [w_p], "left")["band_edge"].all()
         assert max_rel(fwm.overlap_elements(REF, *args), closed_form) < 1e-9
         with pytest.raises(model.OutOfDomain, match="segment sum"):
             fwm.overlap_elements(replace(REF, n_periods=24000), *args)
@@ -396,10 +396,23 @@ class TestBandEdge:
         args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 101)
         closed_form = fwm.overlap_elements(spec, *args)
         monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
-        assert transfer._bloch_fields(spec, args[0], "left").band_edge.all()
+        assert transfer._bloch_fields(spec, args[0], "left")["band_edge"].all()
         value = fwm.overlap_elements(spec, *args)
         assert max_rel(value, oracle(spec, *args)) < 1e-9
         assert max_rel(value, closed_form) < 1e-9
+
+    def test_float_period_count(self, monkeypatch):
+        # stored as an int: the segment recursion slices by it, and the
+        # band-edge segment sum steps by it
+        spec, whole = replace(REF, n_periods=200.0), replace(REF, n_periods=200)
+        assert type(spec.n_periods) is int
+        w_p = model.omega_from_wavelength(REF.bragg_wavelength)
+        for a, b in zip(transfer._segment_amplitudes(spec, [w_p], "left"),
+                        transfer._segment_amplitudes(whole, [w_p], "left")):
+            np.testing.assert_array_equal(a, b)
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        args = ([w_p], [W_S], [2.0 * w_p - W_S])
+        assert fwm.overlap_elements(spec, *args) == fwm.overlap_elements(whole, *args)
 
     @pytest.mark.filterwarnings("error")
     def test_exactly_degenerate_modes(self, band_edge, monkeypatch):
@@ -415,7 +428,7 @@ class TestBandEdge:
             return sign, np.where(omegas == edge, 0.0, q)
 
         monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
-        assert list(transfer._bloch_fields(REF, w_p, "left").band_edge) == [True, False]
+        assert list(transfer._bloch_fields(REF, w_p, "left")["band_edge"]) == [True, False]
         value = fwm.overlap_elements(REF, *args)
         assert np.all(np.isfinite(value))
         assert max_rel(value, oracle(REF, *args)) < 1e-9

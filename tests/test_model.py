@@ -89,6 +89,8 @@ class TestGratingSpec:
         dict(duty_cycle=1.0),
         dict(duty_cycle=1.7),
         dict(n_periods=0),
+        dict(n_periods=True),
+        dict(n_periods=np.True_),
         dict(n_lo=0.0),
         dict(delta_n=0.5),         # contrast ratio above the model's validity
         dict(lead_in_length=-1e-6),
@@ -174,6 +176,16 @@ class TestPumpPulse:
     def test_validation(self):
         with pytest.raises(model.InvalidArgument):
             model.PumpPulse(model.PulseShape.TOPHAT, -1e-9, 1e-3, 1546e-9)
+
+    @pytest.mark.parametrize("shape", list(model.PulseShape))
+    def test_shape_given_by_name(self, shape):
+        by_name = model.PumpPulse(shape.value, 1e-9, 1e-3, 1546e-9)
+        assert by_name == model.PumpPulse(shape, 1e-9, 1e-3, 1546e-9)
+        assert by_name.shape is shape
+
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(model.InvalidArgument, match="'square'"):
+            model.PumpPulse("square", 1e-9, 1e-3, 1546e-9)
 
 
 class TestPumpSpectralAmplitude:

@@ -303,7 +303,7 @@ class TestChunkedTable:
             return sign, np.where(omegas == w1[row], 0.0, q)
 
         monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
-        assert transfer._bloch_fields(REF, w1[row:row + 1], "left").band_edge.all()
+        assert transfer._bloch_fields(REF, w1[row:row + 1], "left")["band_edge"].all()
         tracemalloc.start()
         try:
             fwm.overlap_table(REF, w1, w2)
