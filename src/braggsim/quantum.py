@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import HBAR, SPEED_OF_LIGHT as C0
 from .model import (
@@ -230,7 +231,9 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
     amplitude is the spectral autoconvolution of the enhanced intracavity
     pump. At critical coupling the peak intensity enhancement equals twice
     the dwelling time over the round-trip time, which is how the quality
-    factor and the ring size enter the absolute rate.
+    factor and the ring size enter the absolute rate. Both grids span
+    +-span_linewidths of the broader signal or idler linewidth, so they share
+    one spacing: H is read once on the 2n-1 lattice of sums (see overlap_table).
     """
     w_s0 = ring.resonance_omega("signal")
     w_i0 = ring.resonance_omega("idler")
@@ -244,14 +247,13 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
         warnings.warn("resonance triplet violates energy conservation by more "
                       f"than 10 linewidths ({mismatch / g_p:.1f})", stacklevel=2)
 
-    signal_grid = grid_around_omega(w_s0, 2.0 * span_linewidths * g_s, n_points)
-    idler_grid = grid_around_omega(w_i0, 2.0 * span_linewidths * g_i, n_points)
-    w1 = signal_grid.points
-    w2 = idler_grid.points
+    width = 2.0 * span_linewidths * max(g_s, g_i)
+    signal_grid = grid_around_omega(w_s0, width, n_points)
+    idler_grid = grid_around_omega(w_i0, width, n_points)
+    w1, w2 = signal_grid.points, idler_grid.points
     sums, h_table = _pump_pair_spectrum(pulse, w_p0, g_p)
-    s_grid = w1[:, None] + w2[None, :]
-    h = (np.interp(s_grid, sums, h_table.real, left=0.0, right=0.0)
-         + 1j * np.interp(s_grid, sums, h_table.imag, left=0.0, right=0.0))
+    lattice = w1[0] + w2[0] + signal_grid.spacing * np.arange(2 * n_points - 1)
+    h = sliding_window_view(np.interp(lattice, sums, h_table, left=0.0, right=0.0), n_points)
 
     enhancement = 2.0 * ring.dwelling_time("pump") / ring.round_trip_time
     phi = (math.sqrt(2.0 * math.pi) * params.gamma * HBAR * pulse.center_omega

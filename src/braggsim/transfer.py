@@ -117,11 +117,8 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     (_, k_hi), _ = _period_segments(spec, omega)
     m = _mat_power(unit_cell_matrix(spec, omega), spec.n_periods)
-    if spec.lead_in_length > 0:
-        m = _mul(_prop_stack(k_hi, spec.lead_in_length), m)
-    if spec.lead_out_length > 0:
-        m = _mul(m, _prop_stack(k_hi, spec.lead_out_length))
-    return m
+    return _mul(_mul(_prop_stack(k_hi, spec.lead_in_length), m),
+                _prop_stack(k_hi, spec.lead_out_length))
 
 
 def transmission_spectrum(spec: GratingSpec, grid: FrequencyGrid) -> SweepResult:

@@ -370,18 +370,51 @@ class TestChunkedTable:
 class TestRingState:
     def test_reference_values(self, ring_state):
         # frozen regression at the default 201-point grids
-        assert ring_state.beta_sq == pytest.approx(7.43717459e-4, rel=1e-6)
+        assert ring_state.beta_sq == pytest.approx(7.43723342e-4, rel=1e-6)
         rep = quantum.schmidt_analysis(ring_state)
         assert rep.purity == pytest.approx(0.87639, abs=5e-4)
         assert quantum.principal_axis_ratio(ring_state) == pytest.approx(
             1.8137, abs=5e-3)
 
     def test_grids_track_the_resonances(self, ring_state):
-        w_s0 = RING.resonance_omega("signal")
-        g_s = RING.linewidth("signal")
-        pts = ring_state.signal_grid.points
-        assert pts[0] == pytest.approx(w_s0 - 6 * g_s, rel=1e-12)
-        assert pts[-1] == pytest.approx(w_s0 + 6 * g_s, rel=1e-12)
+        # both grids span +-6 of the broader linewidth around their resonance,
+        # so they share one spacing and each covers +-6 of its own linewidth
+        half = 6 * max(RING.linewidth("signal"), RING.linewidth("idler"))
+        assert ring_state.signal_grid.spacing == ring_state.idler_grid.spacing
+        for mode, grid in (("signal", ring_state.signal_grid),
+                           ("idler", ring_state.idler_grid)):
+            w0, g = RING.resonance_omega(mode), RING.linewidth(mode)
+            assert grid.points[0] == pytest.approx(w0 - half, rel=1e-12)
+            assert grid.points[-1] == pytest.approx(w0 + half, rel=1e-12)
+            assert grid.points[0] <= w0 - 6 * g and grid.points[-1] >= w0 + 6 * g
+
+    def test_lattice_view_matches_per_element_interpolation(self, scenario, ring_state):
+        # H read on the 2n-1 lattice of sums and viewed onto the grid equals
+        # H interpolated at every w1 + w2 (the two differ by rounding only)
+        w1, w2 = ring_state.signal_grid.points, ring_state.idler_grid.points
+        sums, h_table = quantum._pump_pair_spectrum(
+            scenario.ring_pulse, RING.resonance_omega("pump"), RING.linewidth("pump"))
+        s = w1[:, None] + w2[None, :]
+        h = (np.interp(s, sums, h_table.real, left=0.0, right=0.0)
+             + 1j * np.interp(s, sums, h_table.imag, left=0.0, right=0.0))
+        expected = (h * np.conj(quantum._lorentzian(
+            w1 - RING.resonance_omega("signal"), RING.linewidth("signal")))[:, None]
+            * np.conj(quantum._lorentzian(
+                w2 - RING.resonance_omega("idler"), RING.linewidth("idler")))[None, :])
+        # the state is this times one prefactor, read off at the centre
+        c = w1.size // 2
+        scale = ring_state.amplitude[c, c] / expected[c, c]
+        np.testing.assert_allclose(ring_state.amplitude, scale * expected, rtol=1e-9)
+
+    def test_converged_at_101_and_201_points(self, scenario, ring_state):
+        coarse = quantum.two_photon_state_ring(scenario.ring, scenario.params,
+                                               scenario.ring_pulse, n_points=101)
+        assert coarse.beta_sq == pytest.approx(ring_state.beta_sq, rel=5e-4)
+        assert quantum.schmidt_analysis(coarse).purity == pytest.approx(
+            quantum.schmidt_analysis(ring_state).purity, abs=1e-4)
+        ridge = quantum.ridge_width_ratio(ring_state)
+        assert math.isfinite(ridge)
+        assert quantum.ridge_width_ratio(coarse) == pytest.approx(ridge, rel=0.01)
 
     def test_pair_probability_grows_with_pulse_duration(self):
         betas = []
