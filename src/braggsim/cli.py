@@ -622,5 +622,18 @@ def main(argv=None) -> int:
         raise
 
 
+def entry():
+    """The process entry of `python -m braggsim` and the `braggsim` script:
+    exit with main()'s code. The objects still alive then die with the
+    process, so gc.freeze() first puts them out of reach of the collections
+    the interpreter runs as it shuts down; output is still flushed and atexit
+    handlers still run. main() itself, called in-process, leaves the
+    collector alone."""
+    code = main()
+    import gc   # here, past the run's peak: the module is not loaded at start-up
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -16,6 +16,7 @@ P_i = (gamma P_p)^2 P_s |J|^2.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -94,31 +95,45 @@ def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
     no copy of its own size.
 
     The rows along the first frequency axis are split into tasks of _CHUNK
-    elements (at least one row), run on _workers() threads; each task takes
-    views of its rows and writes only those rows of the result, so J does not
-    depend on the thread count.
+    elements (at least one row), run on _workers() threads, worker k taking
+    tasks k, k + workers, ...; each task takes views of its rows and writes
+    only those rows of the result, so J does not depend on the thread count.
+    A worker that fails stops; the first error is raised once every worker
+    has been joined.
     """
     shape = tables[0]["omega"].shape
     out = np.empty(shape, dtype=complex)
     rows = max(1, _CHUNK // math.prod(shape[1:]))
     rest = (slice(None),) * (len(shape) - 1)
 
-    def task(lo):
-        part = (Ellipsis, slice(lo, lo + rows)) + rest
-        out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
-                                         for table in tables))
+    def run(starts):
+        for lo in starts:
+            part = (Ellipsis, slice(lo, lo + rows)) + rest
+            out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
+                                             for table in tables))
 
     starts = range(0, shape[0], rows)
     workers = _workers(len(starts))
     if workers == 1:
-        for lo in starts:
-            task(lo)
-    else:
-        # numpy releases the interpreter lock inside its ufuncs, so the
-        # threads overlap; imported here to keep it out of short commands
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(task, starts))
+        run(starts)
+        return out
+    errors = []
+
+    def worker(mine):
+        try:
+            run(mine)
+        except BaseException as exc:    # re-raised on the calling thread below
+            errors.append(exc)
+
+    # numpy releases the interpreter lock inside its ufuncs, so the threads overlap
+    threads = [threading.Thread(target=worker, args=(starts[k::workers],))
+               for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -120,17 +121,19 @@ class TwoPhotonState:
     Schmidt decomposition reads with their phase; beta_sq and the joint
     spectral density jsd (normalized to 1 over the grids) are derived from
     it. An all-zero amplitude (no nonlinearity) gives is_zero, beta_sq = 0
-    and an all-zero jsd.
+    and an all-zero jsd. `source` names the state in the error raised past
+    the first-order limit.
     """
 
     amplitude: np.ndarray
     signal_grid: FrequencyGrid
     idler_grid: FrequencyGrid
+    source: InitVar[str] = "two-photon"
     beta_sq: float = field(init=False)
     jsd: np.ndarray = field(init=False)
     is_zero: bool = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, source):
         amp = np.asarray(self.amplitude, dtype=complex)
         amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
@@ -151,7 +154,7 @@ class TwoPhotonState:
         object.__setattr__(self, "is_zero", is_zero)
         if beta_sq >= _BETA_SQ_LIMIT:
             raise InvalidArgument(
-                "pair probability per pulse too large for first-order theory "
+                f"{source} state: pair probability per pulse too large for first-order theory "
                 f"({beta_sq:.3g} >= {_BETA_SQ_LIMIT:g})")
 
 
@@ -193,7 +196,7 @@ def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,
     j_table = overlap_table(spec, w1, w2)
     g = pulse.envelope_squared_spectrum(w1[:, None] + w2[None, :] - 2.0 * w0)
     phi = math.sqrt(2.0 * math.pi) * params.gamma * HBAR * w0 * g * j_table
-    return TwoPhotonState(phi, signal_grid, idler_grid)
+    return TwoPhotonState(phi, signal_grid, idler_grid, "waveguide")
 
 
 def _lorentzian(delta, gamma_fwhm):
@@ -260,7 +263,7 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
            * ring.circumference * enhancement ** 2 * h
            * np.conj(_lorentzian(w1 - w_s0, g_s))[:, None]
            * np.conj(_lorentzian(w2 - w_i0, g_i))[None, :])
-    return TwoPhotonState(phi, signal_grid, idler_grid)
+    return TwoPhotonState(phi, signal_grid, idler_grid, "ring")
 
 
 # --------------------------------------------------------------------------
@@ -269,40 +272,49 @@ def two_photon_state_ring(ring: RingSpec, params: NonlinearParams,
 
 @dataclass(frozen=True)
 class SchmidtReport:
-    """Schmidt spectrum of a two-photon state."""
+    """Schmidt spectrum of a two-photon state with amplitude samples A:
+    purity = tr rho^2 of the signal's reduced density matrix
+    rho = A A^H / tr(A A^H), and Schmidt number = 1 / purity. The Schmidt
+    coefficients, the square roots of rho's eigenvalues (the singular values
+    of A over their root-sum-square), are computed when first read."""
 
-    schmidt_coefficients: np.ndarray   # descending, squares sum to 1
+    amplitude: np.ndarray
     purity: float
-    schmidt_number: float
+    schmidt_number: float = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.schmidt_coefficients, dtype=float)
-        lam.flags.writeable = False
-        object.__setattr__(self, "schmidt_coefficients", lam)
-        if np.any(np.diff(lam) > 0):
-            raise InvalidArgument("schmidt coefficients must be descending")
-        if abs(float(np.sum(lam ** 2)) - 1.0) > 1e-6:
-            raise InvalidArgument("squared schmidt coefficients must sum to 1")
         if not 0.0 < self.purity <= 1.0 + 1e-12:
             raise InvalidArgument("purity must lie in (0, 1]")
+        object.__setattr__(self, "schmidt_number", 1.0 / self.purity)
+
+    @cached_property
+    def schmidt_coefficients(self) -> np.ndarray:
+        """Descending, with squares summing to 1."""
+        sv = np.linalg.svd(self.amplitude, compute_uv=False)
+        lam = sv / math.sqrt(float(np.sum(sv ** 2)))
+        lam.flags.writeable = False
+        return lam
+
+
+_GRAM_ROWS = 32   # rows of A A^H per block of the purity sum; bounds its temporaries
 
 
 def schmidt_analysis(state: TwoPhotonState) -> SchmidtReport:
-    """Singular-value decomposition of the discretized pair amplitude.
+    """Schmidt purity and number of the discretized pair amplitude A, with no
+    decomposition: tr rho^2 = ||A A^H||_F^2 / tr(A A^H)^2, summed over blocks
+    of rows of conj(A A^H), so no n x n array is formed.
 
     On a uniform grid the quadrature weights are a constant factor and drop
-    out of the normalized spectrum.
+    out of rho.
     """
     if state.is_zero:
         raise InvalidArgument("cannot decompose an all-zero state")
-    sv = np.linalg.svd(state.amplitude, compute_uv=False)
-    lam = sv / math.sqrt(float(np.sum(sv ** 2)))
-    purity = float(np.sum(lam ** 4))
-    return SchmidtReport(
-        schmidt_coefficients=lam,
-        purity=purity,
-        schmidt_number=1.0 / purity,
-    )
+    a = state.amplitude
+    gram_sq = 0.0
+    for lo in range(0, a.shape[0], _GRAM_ROWS):
+        rows = a[lo:lo + _GRAM_ROWS].conj() @ a.T
+        gram_sq += float(np.vdot(rows, rows).real)
+    return SchmidtReport(amplitude=a, purity=gram_sq / float(np.vdot(a, a).real) ** 2)
 
 
 def _profile_fwhm(centers: np.ndarray, profile: np.ndarray) -> float:

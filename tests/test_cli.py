@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from braggsim import cli
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
 
 TINY = {
     "structure": {
@@ -245,6 +249,20 @@ def test_jsd_unequal_window_widths(tmp_path, capsys):
                "--out", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
     assert "signal 10 GHz" in err and "idler 12 GHz" in err
+
+
+def test_over_driven_ring_is_a_domain_error_naming_the_ring(tmp_path, capsys):
+    # five times the reference ring pump power puts its beta^2 near 0.019,
+    # past the first-order limit of 0.01; the waveguide state stays below it
+    def edit(raw):
+        raw["ring_comparator"]["pulse"]["peak_power_mw"] = 5.0
+
+    out = tmp_path / "o"
+    assert run("jsd", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith(
+        "domain error: ring state: pair probability per pulse too large")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("points", 1), ("points", 0), ("points", -3),
@@ -690,23 +708,87 @@ def test_thread_count_without_affinity(monkeypatch):
 @pytest.mark.parametrize("subcommand,unloaded", [
     ("design", ["braggsim.quantum", "concurrent.futures"]),
     ("stim-sweep", ["numpy.ma", "braggsim.quantum", "concurrent.futures"]),
-    ("report", ["numpy.ma"]),
+    ("report", ["numpy.ma", "concurrent.futures"]),
 ], ids=["design", "stim-sweep", "report"])
 def test_commands_leave_unused_modules_unloaded(tmp_path, subcommand, unloaded):
     # every run pays its imports at start-up: numpy.ma costs 15-17 ms, and
-    # neither design nor stim-sweep needs the thread pool or quantum; every
-    # command imports fwm, so its import-time cost is checked too
-    import subprocess
-    import sys
+    # neither design nor stim-sweep needs quantum; every command imports fwm,
+    # so its import-time cost is checked too. concurrent.futures (7-10 ms,
+    # with logging) stays out even where report's J table runs on two threads
     code = ("import sys; from braggsim import cli; "
             f"code = cli.main([{subcommand!r}, '--config', str(cli.bundled_config_path()), "
             f"'--out', {str(tmp_path)!r}, '--quiet']); "
             f"print(code, 'braggsim.fwm' in sys.modules, "
             f"*(name in sys.modules for name in {unloaded!r}))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env={"PYTHONPATH": src})
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": _SRC, "BRAGGSIM_THREADS": "2"})
     assert done.stdout.split() == ["0", "True"] + ["False"] * len(unloaded), done.stderr
+
+
+def _braggsim(*args, threads="2"):
+    """`python -m braggsim *args` in a fresh process, as a CompletedProcess."""
+    return subprocess.run([sys.executable, "-m", "braggsim", *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={"PYTHONPATH": _SRC, "BRAGGSIM_THREADS": threads})
+
+
+@pytest.mark.parametrize("args,code,stdout,stderr", [
+    (["design"], 0, ["N=2069", "wrote {out}/design.json"], []),
+    (["design", "--points", "21"], 2, [], ["config error: --points: not read by design"]),
+    (["design", "--config", "{missing}"], 4, [],
+     ["i/o error: config file not found: {missing}"]),
+], ids=["ok", "config-error", "io-error"])
+def test_entry_point_exit_codes_and_messages(tmp_path, args, code, stdout, stderr):
+    # the process exits with main's code after printing main's lines in full
+    names = {"out": tmp_path / "out", "missing": tmp_path / "nope.json"}
+    done = _braggsim(*(arg.format(**names) for arg in args), "--out", str(names["out"]))
+    assert done.returncode == code
+    assert done.stdout.splitlines() == [line.format(**names) for line in stdout]
+    assert done.stderr.splitlines() == [line.format(**names) for line in stderr]
+
+
+def test_only_the_entry_point_freezes_the_collector(tiny_config, tmp_path):
+    # main() in-process leaves the collector alone; the entry point freezes
+    # it once main has returned, and atexit handlers still run after that
+    import gc
+    before = gc.get_freeze_count()
+    assert run("design", "--config", str(tiny_config), "--out", str(tmp_path / "in"),
+               "--quiet") == 0
+    assert gc.get_freeze_count() == before
+    code = ("import atexit, gc, sys; from braggsim import cli; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            f"sys.argv = ['braggsim', 'design', '--out', {str(tmp_path / 'out')!r}, "
+            "'--quiet']; cli.entry()")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={"PYTHONPATH": _SRC})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "frozen True\n", "")
+
+
+def test_report_files_do_not_depend_on_the_thread_count(tmp_path):
+    # BRAGGSIM_THREADS sets the BLAS threads before numpy loads as well as
+    # the J table's threads, so each count runs in a process of its own
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = _braggsim("report", "--out", str(out), "--quiet", threads=threads)
+        assert done.returncode == 0, done.stderr
+        files.append({p.name: p.read_bytes() for p in out.iterdir()
+                      if p.name != "run_meta.json"})
+    assert len(files[0]) == 9
+    assert files[0] == files[1]
+
+
+def test_jsd_takes_no_decomposition(tmp_path, monkeypatch):
+    # purity is tr rho^2, a sum over blocks of A A^H; only reading the Schmidt
+    # coefficients, which the command line never does, takes the SVD of A
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition was taken")
+
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run("jsd", "--points", "41", "--out", str(tmp_path / "o"), "--quiet") == 0
 
 
 def test_spectrum_is_computed_once(tiny_config, tmp_path, monkeypatch):

@@ -10,6 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from braggsim import fwm, model, quantum, transfer
 from braggsim.constants import HBAR
@@ -152,7 +155,7 @@ class TestWaveguideState:
             quantum.principal_axis_ratio(st)
 
     def test_pair_probability_limit(self):
-        with pytest.raises(model.InvalidArgument, match="first-order"):
+        with pytest.raises(model.InvalidArgument, match="^waveguide state: .*first-order"):
             small_state(n_points=11, gamma=2e5)
 
     def test_windows_must_straddle_the_stripe(self):
@@ -453,7 +456,8 @@ class TestRingState:
         assert p_sharp > 0.90
 
     def test_reference_state_memory(self, scenario):
-        # the 201^2 reference state stays under a 200 MB allocation budget
+        # the 201^2 reference state takes about 1.8 MB; 10 MB leaves room for
+        # numpy's temporaries and still fails a several-fold regression
         tracemalloc.start()
         try:
             quantum.two_photon_state_ring(
@@ -463,7 +467,13 @@ class TestRingState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200e6
+        assert peak < 10e6
+
+    def test_pair_probability_limit_names_the_ring(self):
+        # beta^2 grows as the square of the peak power: 7.4e-4 at 1 mW
+        loud = replace(RING_PULSE, peak_power=5e-3)
+        with pytest.raises(model.InvalidArgument, match="^ring state: .*first-order"):
+            quantum.two_photon_state_ring(RING, PARAMS, loud, n_points=41)
 
     def test_energy_violating_triplet_warns(self):
         off = model.RingSpec(radius=15e-6, lambda_p=1534.55e-9,
@@ -592,6 +602,54 @@ def test_schmidt_two_mode_state():
                                [math.sqrt(0.8), math.sqrt(0.2)], rtol=1e-9)
     assert rep.purity == pytest.approx(0.68, abs=1e-9)
     assert rep.schmidt_number == pytest.approx(1 / 0.68, rel=1e-9)
+
+
+def _svd_schmidt(amp):
+    """The oracle: normalized singular values of amp, and their purity."""
+    sv = np.linalg.svd(amp, compute_uv=False)
+    lam = sv / math.sqrt(float(np.sum(sv ** 2)))
+    return lam, float(np.sum(lam ** 4))
+
+
+_amplitudes = st.tuples(st.integers(2, 9), st.integers(2, 9)).flatmap(
+    lambda shape: hnp.arrays(complex, shape, elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(amp=_amplitudes)
+def test_schmidt_purity_matches_the_svd(amp):
+    # purity = tr rho^2 of the signal's reduced density matrix, which is
+    # sum sigma^4 / (sum sigma^2)^2 of the amplitude's singular values
+    assume(np.max(np.abs(amp)) > 1e-3)
+    g1, g2 = _grids(*amp.shape)
+    rep = quantum.schmidt_analysis(_state_from_amplitude(amp, g1, g2))
+    purity = _svd_schmidt(amp)[1]
+    assert rep.purity == pytest.approx(purity, rel=1e-12)
+    assert rep.schmidt_number == pytest.approx(1.0 / purity, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rank-one", "near-maximally-mixed", "random"])
+def test_schmidt_purity_and_lazy_coefficients(kind):
+    rng = np.random.default_rng(5)
+    n = 24
+    g1, g2 = _grids(n, n)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "rank-one":
+        amp = np.outer(z[0], z[1])
+    elif kind == "near-maximally-mixed":       # n equal Schmidt modes, perturbed
+        amp = np.linalg.qr(z)[0] + 1e-3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    else:
+        amp = z
+    lam, purity = _svd_schmidt(amp)
+    rep = quantum.schmidt_analysis(_state_from_amplitude(amp, g1, g2))
+    assert rep.purity == pytest.approx(purity, rel=1e-12)
+    assert "schmidt_coefficients" not in vars(rep)      # not computed until read
+    coefficients = rep.schmidt_coefficients
+    assert rep.schmidt_coefficients is coefficients
+    np.testing.assert_allclose(coefficients, lam, rtol=0, atol=1e-12)
+    assert np.all(np.diff(coefficients) <= 0)
+    assert float(np.sum(coefficients ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_schmidt_exchange_invariance():
