@@ -444,7 +444,7 @@ def _run_spont_rate(cfg: ScenarioConfig, fmt: str, points, rejection_db):
 
 
 def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
-    from .quantum import contrast_sweep
+    from .quantum import contrast_sweep, designed_pair_rate
     report = contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                             cfg.params, cfg.pulse, cfg.signal_window)
     slope_text = "undefined (fewer than two distinct contrasts)" if report.slope is None \
@@ -453,18 +453,14 @@ def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     extras = {"slope": report.slope, "target_rejection_db": report.target_rejection_db}
     if cfg.compare_rejection_db is not None:
         dn = cfg.grating.delta_n
-
-        def rate_at(rejection_db):
-            single = contrast_sweep(cfg.grating, rejection_db, [dn], cfg.params,
-                                    cfg.pulse, cfg.signal_window)
-            return float(single.sweep.column("pair_rate_per_s")[0])
-
         # the main sweep already holds the target-rejection rate when the
         # grating's own contrast is among the swept ones
         swept = report.sweep.x.tolist()
-        r0 = float(report.sweep.column("pair_rate_per_s")[swept.index(dn)]) \
-            if dn in swept else rate_at(cfg.target_rejection_db)
-        r1 = rate_at(cfg.compare_rejection_db)
+        r0 = float(report.sweep.column("pair_rate_per_s")[swept.index(dn)]) if dn in swept \
+            else designed_pair_rate(cfg.grating, cfg.target_rejection_db, dn, cfg.params,
+                                    cfg.pulse, cfg.signal_window)[1]
+        _, r1 = designed_pair_rate(cfg.grating, cfg.compare_rejection_db, dn, cfg.params,
+                                   cfg.pulse, cfg.signal_window)
         comparison = extras["rejection_comparison"] = {
             "delta_n": dn,
             "target_rejection_db": cfg.target_rejection_db,

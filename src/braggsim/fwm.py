@@ -539,7 +539,9 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     imin = int(np.argmin(y))
     off = np.abs(x - x[imin]) > exclude_halfwidth
     if not np.any(off):
-        raise InvalidArgument("no baseline points outside the excluded band")
+        raise InvalidArgument(f"no baseline points outside the excluded band: {sweep.x_name} "
+                              f"within {exclude_halfwidth:g} of the dip at {x[imin]:g} is left "
+                              f"out, and the sweep spans only {x.min():g} to {x.max():g}")
     # the median as np.median forms it, which would import numpy.ma
     ordered = np.sort(y[off])
     mid = ordered.size // 2

@@ -56,6 +56,7 @@ __all__ = [
     "two_photon_state_bw",
     "two_photon_state_ring",
     "schmidt_analysis",
+    "designed_pair_rate",
     "contrast_sweep",
     "ridge_width_ratio",
     "principal_axis_ratio",
@@ -379,46 +380,45 @@ class ContrastReport:
     target_rejection_db: float
 
 
+def designed_pair_rate(base_spec: GratingSpec, target_rejection_db: float,
+                       delta_n: float, params: NonlinearParams, pulse: PumpPulse,
+                       signal_window: CollectionWindow) -> tuple[int, float]:
+    """(n_periods, pair rate) of base_spec redesigned to contrast delta_n: the
+    design rule sets the period count for the target rejection, the pump sits
+    at that structure's own stopband center, and the rate is the long-pulse
+    identity rate = bandwidth * (gamma P0 |J|)^2 with P0 the pulse peak power."""
+    if not 5e-4 <= delta_n <= 1e-2:
+        raise InvalidArgument(
+            f"delta_n {delta_n:g} lies outside the contrast law's range [5e-4, 1e-2]")
+    n = design_periods(target_rejection_db, base_spec.n_lo, delta_n)
+    spec = replace(base_spec, delta_n=float(delta_n), n_periods=n)
+    w_p = 2.0 * math.pi * C0 / spec.bragg_wavelength
+    w_s = signal_window.center_omega
+    j = overlap_elements(spec, [w_p], [w_s], [2.0 * w_p - w_s])[0]
+    rate = float(signal_window.width * (params.gamma * pulse.peak_power * abs(j)) ** 2)
+    if rate == 0.0:
+        raise InvalidArgument("pair rate is zero (zero gamma or pump peak power); "
+                              "the contrast law is undefined")
+    return n, rate
+
+
 def contrast_sweep(base_spec: GratingSpec, target_rejection_db: float,
                    contrasts, params: NonlinearParams, pulse: PumpPulse,
                    signal_window: CollectionWindow) -> ContrastReport:
-    """Pair generation rate vs index contrast at constant designed rejection.
-
-    For each contrast the period count is recomputed from the design rule, the
-    pump sits at that structure's own stopband center, and the rate follows
-    the long-pulse identity rate = bandwidth * (gamma P0 |J|)^2 with P0 the
-    pulse peak power.
-    """
+    """Pair generation rate vs index contrast at constant designed rejection:
+    designed_pair_rate at each contrast, in ascending order."""
     contrasts = np.atleast_1d(np.asarray(contrasts, dtype=float))
     if contrasts.ndim != 1 or contrasts.size < 1:
         raise InvalidArgument("contrasts must be a nonempty 1-D array")
-    if np.any(contrasts < 5e-4) or np.any(contrasts > 1e-2):
-        raise InvalidArgument("contrasts must lie within [5e-4, 1e-2]")
-    order = np.argsort(contrasts)
-    contrasts = contrasts[order]
-
-    w_s = signal_window.center_omega
-    rates = np.empty(contrasts.size)
-    periods = np.empty(contrasts.size)
-    for i, dn in enumerate(contrasts):
-        n = design_periods(target_rejection_db, base_spec.n_lo, dn)
-        spec = replace(base_spec, delta_n=float(dn), n_periods=n)
-        w_p = 2.0 * math.pi * C0 / spec.bragg_wavelength
-        w_i = 2.0 * w_p - w_s
-        j = overlap_elements(spec, [w_p], [w_s], [w_i])[0]
-        rates[i] = signal_window.width * (params.gamma * pulse.peak_power * abs(j)) ** 2
-        periods[i] = n
-    if np.any(rates == 0.0):
-        raise InvalidArgument("pair rate is zero (zero gamma or pump peak power); "
-                              "the contrast law is undefined")
+    contrasts = np.sort(contrasts)
+    periods, rates = np.array([
+        designed_pair_rate(base_spec, target_rejection_db, dn, params, pulse, signal_window)
+        for dn in contrasts]).T
 
     slope = None
     if contrasts[-1] > contrasts[0]:    # at least two distinct contrasts
         slope = float(np.polyfit(np.log(contrasts), np.log(rates), 1)[0])
-    sweep = SweepResult(
-        x_name="delta_n",
-        x=contrasts,
-        columns={"n_periods": periods, "pair_rate_per_s": rates},
-    )
+    sweep = SweepResult(x_name="delta_n", x=contrasts,
+                        columns={"n_periods": periods, "pair_rate_per_s": rates})
     return ContrastReport(sweep=sweep, slope=slope,
                           target_rejection_db=target_rejection_db)

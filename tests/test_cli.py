@@ -398,6 +398,22 @@ def test_stim_sweep_without_a_dip_writes_nothing(tmp_path, capsys):
     assert not (out / "stim_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["stim-sweep", "report"])
+def test_narrow_stim_sweep_names_the_excluded_band(tmp_path, capsys, subcommand):
+    # the whole 0.9 nm sweep lies within the 1 nm the dip's baseline leaves out
+    def edit(raw):
+        raw["pump_sweep"].update(start_nm=1545.6, stop_nm=1546.5)
+
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "no baseline points outside the excluded band" in err
+    assert "pump_wavelength_nm within 1 of the dip" in err
+    assert "spans only 1545.6 to 1546.5" in err
+    assert not out.exists()
+
+
 def test_overwrite_requires_force(tiny_config, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run("stim-sweep", "--config", str(tiny_config), "--out", str(out)) == 0
@@ -468,24 +484,25 @@ def test_contrast_sweep_outputs(tiny_config, tmp_path):
 
 
 @pytest.mark.parametrize("contrasts,calls", [
-    ([0.002, 0.0034985, 0.008], 2), ([0.002, 0.004, 0.008], 3)],
+    ([0.002, 0.0034985, 0.008], 3 + 1), ([0.002, 0.004, 0.008], 3 + 2)],
     ids=["delta_n-swept", "delta_n-not-swept"])
 def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts, calls):
-    # the target-rejection rate of the grating's own contrast is read from
-    # the main sweep when that contrast is swept; only the comparison design
-    # then needs a sweep of its own
+    # one designed_pair_rate call per swept contrast; the target-rejection
+    # rate of the grating's own contrast is read from the sweep when that
+    # contrast is swept, so only the comparison design then needs a call
     from braggsim import model, quantum
     raw = dict(TINY, contrast_sweep=dict(TINY["contrast_sweep"], contrasts=contrasts))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
+    point = quantum.designed_pair_rate
     real = quantum.contrast_sweep
     seen = []
 
     def counting(*args, **kwargs):
         seen.append(args[1])
-        return real(*args, **kwargs)
+        return point(*args, **kwargs)
 
-    monkeypatch.setattr(quantum, "contrast_sweep", counting)
+    monkeypatch.setattr(quantum, "designed_pair_rate", counting)
     out = tmp_path / "out"
     assert run("contrast-sweep", "--config", str(path), "--out", str(out),
                "--format", "json") == 0
@@ -497,6 +514,19 @@ def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts, calls):
     cmp_obj = json.loads((out / "contrast_sweep.json").read_text())["rejection_comparison"]
     assert cmp_obj["target_rate_per_s"] == model._FMT.format(float(rates[0]))
     assert cmp_obj["compare_rate_per_s"] == model._FMT.format(float(rates[1]))
+
+
+def test_rejection_comparison_names_an_out_of_range_delta_n(tmp_path, capsys):
+    # every swept contrast is valid; the grating's own delta_n is not
+    def edit(raw):
+        raw["structure"]["delta_n"] = 0.02
+
+    out = tmp_path / "o"
+    assert run("contrast-sweep", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: delta_n 0.02 lies outside")
+    assert not out.exists()
 
 
 def test_jsd_without_ring_skips_ring_outputs(tiny_config, tmp_path, capsys):

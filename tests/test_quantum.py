@@ -7,6 +7,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -743,3 +744,28 @@ class TestContrastSweep:
             quantum.contrast_sweep(REF, 12.0, [2e-4], PARAMS, PULSE, SIGNAL_WIN)
         with pytest.raises(model.InvalidArgument):
             quantum.contrast_sweep(REF, 12.0, [2e-2], PARAMS, PULSE, SIGNAL_WIN)
+
+    @pytest.mark.parametrize("delta_n,text", [(2e-4, "0.0002"), (2e-2, "0.02"),
+                                              (math.nan, "nan")],
+                             ids=["2e-4", "2e-2", "nan"])
+    def test_designed_pair_rate_names_an_out_of_range_contrast(self, delta_n, text):
+        match = f"delta_n {text} lies outside the contrast law's range"
+        with pytest.raises(model.InvalidArgument, match=match):
+            quantum.designed_pair_rate(REF, 12.0, delta_n, PARAMS, PULSE, SIGNAL_WIN)
+        with pytest.raises(model.InvalidArgument, match=match):
+            quantum.contrast_sweep(REF, 12.0, [3e-3, delta_n], PARAMS, PULSE, SIGNAL_WIN)
+
+    @pytest.mark.parametrize("config", ["reference", "contrast-many-7"])
+    def test_designed_pair_rate_is_each_row(self, config):
+        from braggsim import cli
+        path = cli.bundled_config_path() if config == "reference" \
+            else Path(__file__).parent / "golden" / "configs" / f"{config}.json"
+        cfg = cli.build_scenario(cli.load_config_dict(path))
+        rep = quantum.contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
+                                     cfg.params, cfg.pulse, cfg.signal_window)
+        rows = zip(rep.sweep.x, rep.sweep.column("n_periods"),
+                   rep.sweep.column("pair_rate_per_s"))
+        for dn, n_periods, rate in rows:
+            assert quantum.designed_pair_rate(
+                cfg.grating, cfg.target_rejection_db, dn, cfg.params, cfg.pulse,
+                cfg.signal_window) == (n_periods, rate)
