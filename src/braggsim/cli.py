@@ -450,17 +450,12 @@ def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     slope_text = "undefined (fewer than two distinct contrasts)" if report.slope is None \
         else f"{report.slope:.3f}"
     messages = [f"contrast-sweep slope {slope_text}"]
-    extras = {"slope": report.slope, "target_rejection_db": report.target_rejection_db}
+    extras = {"slope": report.slope, "target_rejection_db": cfg.target_rejection_db}
     if cfg.compare_rejection_db is not None:
         dn = cfg.grating.delta_n
-        # the main sweep already holds the target-rejection rate when the
-        # grating's own contrast is among the swept ones
-        swept = report.sweep.x.tolist()
-        r0 = float(report.sweep.column("pair_rate_per_s")[swept.index(dn)]) if dn in swept \
-            else designed_pair_rate(cfg.grating, cfg.target_rejection_db, dn, cfg.params,
-                                    cfg.pulse, cfg.signal_window)[1]
-        _, r1 = designed_pair_rate(cfg.grating, cfg.compare_rejection_db, dn, cfg.params,
-                                   cfg.pulse, cfg.signal_window)
+        r0, r1 = (designed_pair_rate(cfg.grating, db, dn, cfg.params, cfg.pulse,
+                                     cfg.signal_window)[1]
+                  for db in (cfg.target_rejection_db, cfg.compare_rejection_db))
         comparison = extras["rejection_comparison"] = {
             "delta_n": dn,
             "target_rejection_db": cfg.target_rejection_db,

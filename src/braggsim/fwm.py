@@ -34,7 +34,8 @@ from .model import (
     wavelength_from_omega,
 )
 from .threads import thread_count
-from .transfer import _bloch_fields, _period_segments, _segment_amplitudes
+from .transfer import (WAVELENGTH_DOMAIN, _bloch_fields, _check_domain, _period_segments,
+                       _segment_amplitudes)
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -48,10 +49,6 @@ __all__ = [
     "dip_report",
 ]
 
-# validity window of the constant-effective-index dispersion model
-WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
-
-
 def idler_omega(omega_p: float, omega_s: float) -> float:
     """Idler frequency from energy conservation, 2*omega_p = omega_s + omega_i."""
     w = 2.0 * omega_p - omega_s
@@ -63,14 +60,6 @@ def idler_omega(omega_p: float, omega_s: float) -> float:
 def idler_wavelength(lambda_p: float, lambda_s: float) -> float:
     return wavelength_from_omega(
         idler_omega(omega_from_wavelength(lambda_p), omega_from_wavelength(lambda_s)))
-
-
-def _check_domain(omega, label: str) -> None:
-    lam = 2.0 * math.pi * C0 / np.asarray(omega, dtype=float)
-    lo, hi = WAVELENGTH_DOMAIN
-    if np.any(lam < lo * (1 - 1e-12)) or np.any(lam > hi * (1 + 1e-12)):
-        raise OutOfDomain(
-            f"{label} wavelength outside the {lo * 1e9:.0f}-{hi * 1e9:.0f} nm model domain")
 
 
 def _wrap_phase(x):

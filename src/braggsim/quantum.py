@@ -377,7 +377,6 @@ class ContrastReport:
 
     sweep: SweepResult
     slope: float | None           # d log(rate) / d log(delta_n); None if < 2 distinct contrasts
-    target_rejection_db: float
 
 
 def designed_pair_rate(base_spec: GratingSpec, target_rejection_db: float,
@@ -420,5 +419,4 @@ def contrast_sweep(base_spec: GratingSpec, target_rejection_db: float,
         slope = float(np.polyfit(np.log(contrasts), np.log(rates), 1)[0])
     sweep = SweepResult(x_name="delta_n", x=contrasts,
                         columns={"n_periods": periods, "pair_rate_per_s": rates})
-    return ContrastReport(sweep=sweep, slope=slope,
-                          target_rejection_db=target_rejection_db)
+    return ContrastReport(sweep=sweep, slope=slope)

@@ -29,6 +29,7 @@ from .model import (
 )
 
 __all__ = [
+    "WAVELENGTH_DOMAIN",
     "StopbandReport",
     "unit_cell_matrix",
     "structure_matrix",
@@ -38,6 +39,18 @@ __all__ = [
     "rejection_estimate_db",
     "design_periods",
 ]
+
+
+# validity window of the constant-effective-index dispersion model
+WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
+
+
+def _check_domain(omega, label: str) -> None:
+    lam = 2.0 * math.pi * C0 / np.asarray(omega, dtype=float)
+    lo, hi = WAVELENGTH_DOMAIN
+    if np.any(lam < lo * (1 - 1e-12)) or np.any(lam > hi * (1 + 1e-12)):
+        raise OutOfDomain(
+            f"{label} wavelength outside the {lo * 1e9:.0f}-{hi * 1e9:.0f} nm model domain")
 
 
 def wavenumber(n_eff: float, omega) -> np.ndarray:
@@ -122,7 +135,8 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
 
 
 def transmission_spectrum(spec: GratingSpec, grid: FrequencyGrid) -> SweepResult:
-    """Power transmission over the grid, tabulated by ascending wavelength."""
+    """Power transmission over the grid, inside the model domain, by ascending wavelength."""
+    _check_domain(grid.points, "spectrum")
     m = structure_matrix(spec, grid.points)
     trans = 1.0 / np.abs(m[..., 0, 0]) ** 2
     lam_nm = grid.wavelengths * 1e9

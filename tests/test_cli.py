@@ -241,6 +241,21 @@ def test_jsd_signal_outside_model_domain(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["spectrum", "report"])
+def test_spectrum_outside_model_domain(tmp_path, capsys, subcommand):
+    # report runs the spectrum first, so it names the spectrum too
+    def edit(raw):
+        raw["spectrum"].update(start_nm=1400.0, stop_nm=1450.0)
+        raw["pump_sweep"].update(start_nm=1400.0, stop_nm=1450.0)
+
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "domain error: spectrum wavelength outside the 1500-1600 nm model domain\n")
+    assert not out.exists()
+
+
 def test_jsd_unequal_window_widths(tmp_path, capsys):
     def edit(raw):
         raw["windows"]["idler"]["width_ghz"] = 12.0
@@ -483,13 +498,12 @@ def test_contrast_sweep_outputs(tiny_config, tmp_path):
     assert [float(x) for x in obj["columns"]["delta_n"]] == [0.002, 0.004, 0.008]
 
 
-@pytest.mark.parametrize("contrasts,calls", [
-    ([0.002, 0.0034985, 0.008], 3 + 1), ([0.002, 0.004, 0.008], 3 + 2)],
-    ids=["delta_n-swept", "delta_n-not-swept"])
-def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts, calls):
-    # one designed_pair_rate call per swept contrast; the target-rejection
-    # rate of the grating's own contrast is read from the sweep when that
-    # contrast is swept, so only the comparison design then needs a call
+@pytest.mark.parametrize("contrasts", [[0.002, 0.0034985, 0.008], [0.002, 0.004, 0.008]],
+                         ids=["delta_n-swept", "delta_n-not-swept"])
+def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts):
+    # one designed_pair_rate call per swept contrast, then one per design of
+    # the rejection comparison, whether or not the grating's own contrast is
+    # among the swept ones
     from braggsim import model, quantum
     raw = dict(TINY, contrast_sweep=dict(TINY["contrast_sweep"], contrasts=contrasts))
     path = tmp_path / "cfg.json"
@@ -506,7 +520,8 @@ def test_contrast_sweep_call_count(tmp_path, monkeypatch, contrasts, calls):
     out = tmp_path / "out"
     assert run("contrast-sweep", "--config", str(path), "--out", str(out),
                "--format", "json") == 0
-    assert len(seen) == calls
+    assert len(seen) == len(contrasts) + 2
+    assert seen[-2:] == [12.0, 30.0]
     cfg = cli.build_scenario(raw)
     rates = [real(cfg.grating, db, [0.0034985], cfg.params, cfg.pulse,
                   cfg.signal_window).sweep.column("pair_rate_per_s")[0]
@@ -564,6 +579,35 @@ def test_jsd_csv_is_streamed_unchanged(tmp_path):
     out = cli._Out(tmp_path, force=False, quiet=True)
     out.write("jsd.csv", cli._JSD_CSV_HEADER, cli._jsd_csv(state))
     assert (tmp_path / "jsd.csv").read_text() == "\n".join(rows) + "\n"
+
+
+def test_report_streams_each_jsd_csv(tmp_path, monkeypatch):
+    # each JSD CSV reaches _Out.write as its header plus a lazy sequence of
+    # blocks of at most _JSD_BLOCK whole signal rows, so no 201^2 table is
+    # ever held as one string (README gives the peak RSS this saves)
+    real = cli._Out.write
+    seen = {}
+
+    def recording(self, name, text, blocks=()):
+        if name.startswith("jsd_") and name.endswith(".csv"):
+            assert iter(blocks) is blocks
+            blocks = seen[name] = list(blocks)
+            assert text == cli._JSD_CSV_HEADER
+        return real(self, name, text, blocks)
+
+    monkeypatch.setattr(cli._Out, "write", recording)
+    out = tmp_path / "o"
+    assert run("report", "--out", str(out), "--quiet") == 0
+    assert sorted(seen) == ["jsd_bw.csv", "jsd_ring.csv"]
+    points = cli.build_scenario(cli.load_config_dict(cli.bundled_config_path())).jsd_points
+    for name, blocks in seen.items():
+        signals = [[line.split(",")[0] for line in block.splitlines()] for block in blocks]
+        assert len(blocks) == -(-points // cli._JSD_BLOCK)
+        for rows in signals:
+            assert len(set(rows)) <= cli._JSD_BLOCK
+            assert len(rows) == len(set(rows)) * points
+        assert len({lam for rows in signals for lam in rows}) == points
+        assert (out / name).read_text() == cli._JSD_CSV_HEADER + "".join(blocks)
 
 
 def test_jsd_csv_matches_per_value_format():
