@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import HBAR, SPEED_OF_LIGHT as C0
+from .constants import HBAR
 from .model import (
     GratingSpec,
     InvalidArgument,
@@ -148,10 +148,11 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
     exceeds 1 in modulus, times one per-period weight; R is the product of
     the combination's per-period ratios, and the series is the product of
     the num[0] factors less that of num[1], over R - 1. Where |R - 1| < 1/N,
-    where that would cancel, it is taken from the wrapped log of R. The leads are
-    single uniform segments. Elements with a field at a band edge fall back
-    to the segment sum, or raise OutOfDomain where a field grows too much
-    across the grating for it.
+    where that would cancel, it is taken from the wrapped log of R. Elements
+    with a field at a band edge take the sum over the periods from the segment
+    sum instead, or raise OutOfDomain where a field grows too much across the
+    grating for it. The leads, single uniform segments, are then added to
+    every element from the exact facet states.
     """
     def combine(name, index=slice(None)):
         return (fp[name][index][:, None, None] * fs[name][index][None, :, None]
@@ -172,7 +173,7 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                         + fi["log_ratio"][(idl,) + elems])
         r_safe = np.where(r == 0, 1.0, r)
         series[near] = lower[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
-    total = _add_leads(np.sum(series * weight, axis=(0, 1, 2)), fp, fs, fi)
+    total = np.sum(series * weight, axis=(0, 1, 2))
 
     edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
@@ -182,12 +183,7 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                               f"sum: a field grows by e^{growth:.1f} across it")
         total[edge] = _overlap_segment_sum(spec, fp["omega"][edge], fs["omega"][edge],
                                            fi["omega"][edge])
-    return total
-
-
-def _add_leads(total, fp: dict, fs: dict, fi: dict):
-    """total plus the integral over each lead that has a length (one mode)."""
-    for lead in ("lead_in", "lead_out"):
+    for lead in ("lead_in", "lead_out"):     # present for a lead with a length; one mode
         if lead in fp:
             total = total + _wave_sum(fp, fs, fi, lead)[0, 0, 0]
     return total
@@ -233,10 +229,10 @@ def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
 
 
 def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
-    """J element-wise as the Bloch kernel's per-period weight (_wave_sum)
-    taken with each period's own amplitudes, summed over the periods, plus
-    the leads: the kernel's path for band-edge elements, which a pump sweep
-    across the stopband meets.
+    """The periods' share of J element-wise: the Bloch kernel's per-period
+    weight (_wave_sum) taken with each period's own amplitudes and summed
+    over the periods. It is the kernel's path for band-edge elements, which a
+    pump sweep across the stopband meets; the kernel adds the leads' share.
 
     Fields come from the forward segment recursion (O(log N) array
     operations), which amplifies rounding in the growing mode of deep
@@ -249,19 +245,19 @@ def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.nda
         fp, fs, fi = (_segment_factors(spec, w[lo:lo + step], role)
                       for w, role in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler")))
         periods = _wave_sum(fp, fs, fi, "period")[0, 0, 0]     # (elements, period)
-        out[lo:lo + step] = _add_leads(np.sum(periods, axis=-1), fp, fs, fi)
+        out[lo:lo + step] = np.sum(periods, axis=-1)
     return out
 
 
 def _segment_factors(spec: GratingSpec, omega: np.ndarray, role: str) -> dict:
-    """The tables of _fold for the field of `role` as the segment recursion
-    gives it: one mode, whose amplitudes in each period lie on a trailing
-    period axis."""
+    """The period tables of _fold for the field of `role` as the segment
+    recursion gives it: one mode, whose amplitudes in each period lie on a
+    trailing period axis."""
     _, _, _, a, b = _segment_amplitudes(spec, omega, "right" if role == "idler" else "left")
     amps = np.stack([a, b], axis=1)                  # (segment, fwd/bwd, elements)
     n, first = spec.n_periods, int(spec.lead_in_length > 0)
     period = np.moveaxis(amps[first:first + 2 * n].reshape((n, 2, 2, -1)), 0, -1)
-    return _fold(spec, role, omega, np.ascontiguousarray(period)[None], amps[0], amps[-1])
+    return _fold(spec, role, omega, np.ascontiguousarray(period)[None])
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -361,11 +357,11 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
 
-def _fold(spec: GratingSpec, role: str, omega, period, lead_in, lead_out) -> dict:
+def _fold(spec: GratingSpec, role: str, omega, period, lead_in=None, lead_out=None) -> dict:
     """The tables of one field that _wave_sum reads, from its frequencies
     omega (elements), the amplitudes `period` (mode, segment, fwd/bwd,
     elements, ...) at each segment's left edge and the lead states
-    (fwd/bwd, elements):
+    (fwd/bwd, elements), if given:
 
     - period:        (mode, segment, wave, elements, ...)  the amplitude of
                      each plane wave of _WAVES; the pump's are those of each
@@ -374,14 +370,14 @@ def _fold(spec: GratingSpec, role: str, omega, period, lead_in, lead_out) -> dic
     - period_angle:  (segment, wave, elements, 1, ...)  each wave's wavenumber
                      times half the segment length, and period_turn its exp(i angle)
     - lead_in, lead_out (with _angle, _turn): the same for the field in that
-                     lead, one segment of one mode; present only if the lead
-                     has a length
+                     lead, one segment of one mode; present only if its state
+                     is given and the lead has a length
     """
     k, lengths = _period_segments(spec, omega)
     parts = {"period": (np.array(lengths), np.stack(k), period)}
     for name, length, state in (("lead_in", spec.lead_in_length, lead_in),
                                 ("lead_out", spec.lead_out_length, lead_out)):
-        if length > 0:
+        if state is not None and length > 0:
             parts[name] = (np.array([length]), k[1][None], state[None, None])
     table = {}
     for name, (lengths, k, amps) in parts.items():
@@ -490,7 +486,7 @@ def pump_sweep(spec: GratingSpec, params: NonlinearParams, pump_wavelengths,
     lam_p = np.asarray(pump_wavelengths, dtype=float)
     if lam_p.ndim != 1 or lam_p.size < 1:
         raise InvalidArgument("pump_wavelengths must be a 1-D array")
-    w_p = 2.0 * math.pi * C0 / lam_p
+    w_p = omega_from_wavelength(lam_p)
     w_s = np.array([omega_from_wavelength(signal_wavelength)])
     w_i = 2.0 * w_p - w_s
     power, _, per_mw2 = _idler_response(spec, params,

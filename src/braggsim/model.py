@@ -32,12 +32,12 @@ class OutOfDomain(ValueError):
 
 
 def omega_from_wavelength(wavelength: float) -> float:
-    """Vacuum wavelength (m) -> angular frequency (rad/s)."""
+    """Vacuum wavelength (m) -> angular frequency (rad/s), elementwise."""
     return 2.0 * math.pi * C0 / wavelength
 
 
 def wavelength_from_omega(omega: float) -> float:
-    """Angular frequency (rad/s) -> vacuum wavelength (m)."""
+    """Angular frequency (rad/s) -> vacuum wavelength (m), elementwise."""
     return 2.0 * math.pi * C0 / omega
 
 
@@ -107,7 +107,7 @@ class FrequencyGrid:
     @property
     def wavelengths(self) -> np.ndarray:
         """Vacuum wavelengths (m), decreasing along the grid."""
-        return 2.0 * math.pi * C0 / self.points
+        return wavelength_from_omega(self.points)
 
 
 def make_wavelength_grid(center: float, span: float, n_points: int) -> FrequencyGrid:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constants import HBAR, SPEED_OF_LIGHT as C0
+from .constants import HBAR
 from .model import (
     CollectionWindow,
     FrequencyGrid,
@@ -42,6 +42,7 @@ from .model import (
     SweepResult,
     _level_crossings,
     grid_around_omega,
+    omega_from_wavelength,
     pump_spectral_amplitude,
 )
 from .fwm import StimulatedResult, overlap_elements, overlap_table
@@ -77,7 +78,7 @@ class SpontRate:
     rate: float                  # pairs/s into the collection window
     bandwidth: float             # collection bandwidth (rad/s)
     spont_power: float           # hbar*omega_i * rate (W)
-    rate_per_mw2: float | None   # normalized by squared internal pump power
+    rate_per_mw2: float          # normalized by squared internal pump power
     rate_per_mw2_external: float | None
 
     def __post_init__(self):
@@ -94,18 +95,16 @@ def spont_from_stim(stim: StimulatedResult, signal_power: float,
     ratio = stim.idler_power / signal_power
     spont_power = HBAR * stim.omega_i * window.width * ratio
     rate = window.width * ratio
-    scale = None
-    if stim.idler_rate > 0:
-        scale = rate / stim.idler_rate
-    per_mw2 = stim.rate_per_mw2 * scale if scale is not None else None
+    # no stimulated idler (gamma or pump power 0): no pairs per mW^2 either
+    scale = rate / stim.idler_rate if stim.idler_rate > 0 else 0.0
     per_mw2_ext = None
-    if scale is not None and stim.rate_per_mw2_external is not None:
+    if stim.rate_per_mw2_external is not None:
         per_mw2_ext = stim.rate_per_mw2_external * scale
     return SpontRate(
         rate=rate,
         bandwidth=window.width,
         spont_power=spont_power,
-        rate_per_mw2=per_mw2,
+        rate_per_mw2=stim.rate_per_mw2 * scale,
         rate_per_mw2_external=per_mw2_ext,
     )
 
@@ -391,7 +390,7 @@ def designed_pair_rate(base_spec: GratingSpec, target_rejection_db: float,
             f"delta_n {delta_n:g} lies outside the contrast law's range [5e-4, 1e-2]")
     n = design_periods(target_rejection_db, base_spec.n_lo, delta_n)
     spec = replace(base_spec, delta_n=float(delta_n), n_periods=n)
-    w_p = 2.0 * math.pi * C0 / spec.bragg_wavelength
+    w_p = omega_from_wavelength(spec.bragg_wavelength)
     w_s = signal_window.center_omega
     j = overlap_elements(spec, [w_p], [w_s], [2.0 * w_p - w_s])[0]
     rate = float(signal_window.width * (params.gamma * pulse.peak_power * abs(j)) ** 2)

@@ -26,6 +26,7 @@ from .model import (
     OutOfDomain,
     SweepResult,
     _level_crossings,
+    wavelength_from_omega,
 )
 
 __all__ = [
@@ -46,7 +47,7 @@ WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
 
 
 def _check_domain(omega, label: str) -> None:
-    lam = 2.0 * math.pi * C0 / np.asarray(omega, dtype=float)
+    lam = wavelength_from_omega(np.asarray(omega, dtype=float))
     lo, hi = WAVELENGTH_DOMAIN
     if np.any(lam < lo * (1 - 1e-12)) or np.any(lam > hi * (1 + 1e-12)):
         raise OutOfDomain(

@@ -95,6 +95,13 @@ def test_unparseable_config_is_config_error(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"config error: {bad}: not valid JSON (")
 
 
+def test_top_level_array_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]")
+    assert run("spectrum", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {bad}: top level must be a JSON object\n"
+
+
 def test_schema_error_names_the_field(tmp_path, capsys):
     broken = json.loads(json.dumps(TINY))
     broken["structure"]["duty_cycle"] = 1.7
@@ -210,6 +217,42 @@ def test_duplicate_key_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("design", "--config", str(path), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("config error: structure.delta_n: duplicate key")
+    assert not out.exists()
+
+
+def _drop_duration_ns(raw):
+    del raw["pulse"]["duration_ns"]
+
+
+_ONE_DURATION = "pulse: exactly one of duration_ns/duration_ps is required"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw["structure"].update(period_nm="320"),
+     "structure.period_nm: expected number, got str"),
+    # a JSON boolean is an int to Python, and no number to the schema
+    (lambda raw: raw["structure"].update(period_nm=True),
+     "structure.period_nm: expected number, got bool"),
+    (lambda raw: raw["structure"].update(n_periods=True),
+     "structure.n_periods: expected integer, got bool"),
+    (lambda raw: raw["structure"].update(n_periods=2000.0),
+     "structure.n_periods: expected integer, got float"),
+    (lambda raw: raw["structure"].update(n_lo=None), "structure.n_lo: expected number, got null"),
+    (lambda raw: raw.update(structure=[320.0]), "structure: expected object, got list"),
+    (lambda raw: raw["pulse"].update(duration_ps=1000.0), _ONE_DURATION),
+    (_drop_duration_ns, _ONE_DURATION),
+    (lambda raw: raw["ring_comparator"].update(quality_factor=[4e4, 4e4]),
+     "ring_comparator.quality_factor: expected a number or 3 numbers"),
+    (lambda raw: raw["contrast_sweep"].update(contrasts=[]),
+     "contrast_sweep.contrasts: must not be empty"),
+], ids=["string-number", "bool-number", "bool-integer", "float-integer", "null-required",
+        "list-section", "both-durations", "no-duration", "two-quality-factors",
+        "empty-contrasts"])
+def test_config_contract_is_config_error(tmp_path, capsys, edit, message):
+    out = tmp_path / "o"
+    assert run("spont-rate", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -429,6 +472,14 @@ def test_narrow_stim_sweep_names_the_excluded_band(tmp_path, capsys, subcommand)
     assert not out.exists()
 
 
+def test_out_under_a_regular_file_is_io_error(tiny_config, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o"
+    assert run("design", "--config", str(tiny_config), "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith(f"i/o error: cannot create output directory {out}:")
+
+
 def test_overwrite_requires_force(tiny_config, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run("stim-sweep", "--config", str(tiny_config), "--out", str(out)) == 0
@@ -483,6 +534,18 @@ def test_spont_rate_csv_names_the_json_fields(tiny_config, tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["rate_per_s_per_mw2_external"] == ""
     assert all(v for k, v in cells.items() if k != "rate_per_s_per_mw2_external")
+
+
+@pytest.mark.parametrize("key", ["gamma_per_w_m", "pump_power_mw"])
+def test_spont_rate_without_stimulated_idler(tmp_path, key):
+    # no stimulated idler: no pairs, and both per-mW^2 cells read 0, not empty
+    config = tmp_path / "idle.json"
+    config.write_text(json.dumps(dict(TINY, nonlinear=dict(TINY["nonlinear"], **{key: 0.0}))))
+    assert run("spont-rate", "--config", str(config), "--out", str(tmp_path / "o")) == 0
+    header, row = (tmp_path / "o" / "spont_rate.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    for name in ("rate_per_s", "power_w", "rate_per_s_per_mw2", "rate_per_s_per_mw2_external"):
+        assert cells[name] == "0.00000000e+00"
 
 
 def test_contrast_sweep_outputs(tiny_config, tmp_path):

@@ -389,8 +389,8 @@ class TestBandEdge:
     @pytest.mark.parametrize("seed,n_periods,sign", [
         (11, 10, -1.0), (12, 57, 1.0), (13, 240, -1.0), (14, 911, 1.0)])
     def test_segment_sum_with_leads(self, monkeypatch, seed, n_periods, sign):
-        # with every element flagged, the leads of the random specs reach
-        # the band-edge path's lead sum
+        # with every element flagged, the random specs' leads meet the
+        # band-edge path, whose lead terms also come from the exact facet states
         spec = random_spec(seed, n_periods, sign)
         assert spec.lead_in_length > 0 and spec.lead_out_length > 0
         args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 101)
@@ -400,6 +400,23 @@ class TestBandEdge:
         value = fwm.overlap_elements(spec, *args)
         assert max_rel(value, oracle(spec, *args)) < 1e-9
         assert max_rel(value, closed_form) < 1e-9
+
+    @pytest.mark.parametrize("seed,n_periods,sign,lead_in,lead_out", [
+        (11, 10, -1.0, 7e-6, 0.0), (12, 57, 1.0, 0.0, 13e-6),
+        (13, 240, -1.0, 2.5e-6, 19e-6), (14, 911, 1.0, 50e-6, 30e-6)])
+    def test_segment_sum_leads_shift_only_the_phase(self, seed, n_periods, sign, lead_in,
+                                                    lead_out):
+        # a lead is the ambient waveguide (k = n_hi omega / c), so the band-edge
+        # path's period sum with leads is the one without times
+        # exp(i[(2 k_p - k_s) L_in + k_i L_out]): it holds no lead term
+        spec = replace(random_spec(seed, n_periods, sign), lead_in_length=lead_in,
+                       lead_out_length=lead_out)
+        bare = replace(spec, lead_in_length=0.0, lead_out_length=0.0)
+        args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 41)
+        k_p, k_s, k_i = (transfer.wavenumber(spec.n_hi, w) for w in args)
+        phase = np.exp(1j * ((2.0 * k_p - k_s) * lead_in + k_i * lead_out))
+        assert max_rel(fwm._overlap_segment_sum(spec, *args),
+                       phase * fwm._overlap_segment_sum(bare, *args)) < 1e-11
 
     def test_float_period_count(self, monkeypatch):
         # stored as an int: the segment recursion slices by it, and the
