@@ -10,11 +10,10 @@ Design rules:
   returned, so a failed run leaves no data files;
 * the table _SCHEMA is the config schema; physical fields carry unit
   suffixes (_nm, _um, _mw, _ghz, _ns, _ps) and are converted to SI on load;
-* the BRAGGSIM_THREADS environment variable caps numeric parallelism, in
-  BLAS/OpenMP and in the overlap kernel's threads (0 or unset = automatic;
-  the kernel uses at most two),
-  which is why the numeric modules are imported only after it has been
-  applied.
+* the BRAGGSIM_THREADS environment variable caps BLAS/OpenMP parallelism
+  (0 or unset = automatic), which is why the numeric modules are imported
+  only after it has been applied; the overlap kernel runs on the calling
+  thread.
 """
 from __future__ import annotations
 

@@ -16,7 +16,6 @@ P_i = (gamma P_p)^2 P_s |J|^2.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from .model import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .threads import thread_count
 from .transfer import (WAVELENGTH_DOMAIN, _bloch_fields, _check_domain, _period_segments,
                        _segment_amplitudes)
 
@@ -67,14 +65,34 @@ def _wrap_phase(x):
     return x - 2j * math.pi * np.round(x.imag / (2.0 * math.pi))
 
 
-# elements per task of the Bloch kernel: its widest temporaries, (elements x
-# 24 plane-wave phases), stay near 0.8 MB each however many elements are asked
+# elements per task of the Bloch kernel: its widest work arrays, (elements x
+# 24 plane-wave phases), stay near 0.4 MB each however many elements are asked
 # for; a task is whole rows of the result, so a row wider than this is one task
-_CHUNK = 2048
-# elements in flight at once, whatever the thread count, which bounds the
-# kernel's memory: with _CHUNK it caps the kernel at two threads, the count
-# its speed and memory were measured at
-_IN_FLIGHT = 4096
+_CHUNK = 1024
+
+
+class _Work:
+    """The work arrays that every task of one kernel call writes its large
+    temporaries into, so that a call allocates them once: glibc hands freed
+    arrays of this size back to the OS, and the next task would fault them
+    in again."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def like(self, name: str, *operands, dtype=complex) -> np.ndarray:
+        """The array `name` as a C-contiguous view of the broadcast shape of
+        the arrays `operands`, reallocated only when it is too small."""
+        shape = np.broadcast(*operands).shape
+        size = math.prod(shape)
+        flat = self._arrays.get(name)
+        if flat is None or flat.size < size:
+            flat = self._arrays[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def product(self, name: str, x, y) -> np.ndarray:
+        """x * y as the array `name`."""
+        return np.multiply(x, y, out=self.like(name, x, y))
 
 
 def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
@@ -83,53 +101,21 @@ def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
     shape; a product grid passes views (broadcast or windowed), so it needs
     no copy of its own size.
 
-    The rows along the first frequency axis are split into tasks of _CHUNK
-    elements (at least one row), run on _workers() threads, worker k taking
-    tasks k, k + workers, ...; each task takes views of its rows and writes
-    only those rows of the result, so J does not depend on the thread count.
-    A worker that fails stops; the first error is raised once every worker
-    has been joined.
+    The rows along the first frequency axis are taken in tasks of _CHUNK
+    elements (at least one row), one after another on the calling thread,
+    all writing into one _Work; each task takes views of its rows and writes
+    only those rows of the result.
     """
     shape = tables[0]["omega"].shape
     out = np.empty(shape, dtype=complex)
     rows = max(1, _CHUNK // math.prod(shape[1:]))
     rest = (slice(None),) * (len(shape) - 1)
-
-    def run(starts):
-        for lo in starts:
-            part = (Ellipsis, slice(lo, lo + rows)) + rest
-            out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
-                                             for table in tables))
-
-    starts = range(0, shape[0], rows)
-    workers = _workers(len(starts))
-    if workers == 1:
-        run(starts)
-        return out
-    errors = []
-
-    def worker(mine):
-        try:
-            run(mine)
-        except BaseException as exc:    # re-raised on the calling thread below
-            errors.append(exc)
-
-    # numpy releases the interpreter lock inside its ufuncs, so the threads overlap
-    threads = [threading.Thread(target=worker, args=(starts[k::workers],))
-               for k in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    work = _Work()
+    for lo in range(0, shape[0], rows):
+        part = (Ellipsis, slice(lo, lo + rows)) + rest
+        out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
+                                         for table in tables), work)
     return out
-
-
-def _workers(tasks: int) -> int:
-    """Threads for `tasks` tasks: thread_count(), at most _IN_FLIGHT // _CHUNK
-    and at most `tasks`. One task reads no setting."""
-    return 1 if tasks < 2 else min(thread_count(), _IN_FLIGHT // _CHUNK, tasks)
 
 
 # Largest growth g = N * max Re(log_ratio) of a field for the segment sum, a
@@ -139,9 +125,9 @@ def _workers(tasks: int) -> int:
 _SEGMENT_SUM_GROWTH = 19.0
 
 
-def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
+def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -> np.ndarray:
     """J from the factor tables of _field_factors paired element-wise (equal
-    trailing shapes).
+    trailing shapes), with every large temporary in `work`.
 
     Each of the 12 (pump pair, signal*, idler) mode combinations is a
     geometric series over the N periods, sum_m R**m scaled so that no term
@@ -154,15 +140,19 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
     grating for it. The leads, single uniform segments, are then added to
     every element from the exact facet states.
     """
-    def combine(name, index=slice(None)):
-        return (fp[name][index][:, None, None] * fs[name][index][None, :, None]
-                * fi[name][index][None, None, :])
+    def combine(into, name, index=slice(None)):
+        pair = work.product("pair", fp[name][index][:, None, None],
+                            fs[name][index][None, :, None])
+        return work.product(into, pair, fi[name][index][None, None, :])
 
     n = spec.n_periods
-    weight = _wave_sum(fp, fs, fi, "period")
-    upper, lower = combine("num", 0), combine("num", 1)
-    den = combine("ratio") - 1.0
-    near = np.abs(den) < 1.0 / n
+    weight = _wave_sum(fp, fs, fi, "period", work)
+    # the series takes the arrays of _wave_sum's spent stages
+    upper, lower = combine("waves", "num", 0), combine("by_signal", "num", 1)
+    den = combine("term", "ratio")
+    den -= 1.0
+    near = np.less(np.abs(den, out=work.like("theta", den, dtype=float)), 1.0 / n,
+                   out=work.like("near", den, dtype=bool))
     den[near] = 1.0
     series = np.subtract(upper, lower, out=upper)
     series /= den
@@ -173,7 +163,8 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                         + fi["log_ratio"][(idl,) + elems])
         r_safe = np.where(r == 0, 1.0, r)
         series[near] = lower[near] * np.where(r == 0, n, np.expm1(n * r) / np.expm1(r_safe))
-    total = np.sum(series * weight, axis=(0, 1, 2))
+    series *= weight
+    total = np.sum(series, axis=(0, 1, 2))
 
     edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
@@ -185,47 +176,55 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict) -> np.ndarray:
                                            fi["omega"][edge])
     for lead in ("lead_in", "lead_out"):     # present for a lead with a length; one mode
         if lead in fp:
-            total = total + _wave_sum(fp, fs, fi, lead)[0, 0, 0]
+            total += _wave_sum(fp, fs, fi, lead, work)[0, 0, 0]
     return total
 
 
-def _wave_sum(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
+def _wave_sum(fp: dict, fs: dict, fi: dict, part: str, work: _Work) -> np.ndarray:
     """(pump pair, signal mode, idler mode, elements...) integral over the
     segments of `part` of the products of the fields' plane waves: the sum
     over segments and waves of the three amplitudes times the wave integral
-    of _wave_integrals. The pump amplitudes carry the segment lengths."""
-    # each stage's input is dropped once used: a task then holds at most
-    # three arrays of (elements x 24), which bounds the table's memory
-    e = _wave_integrals(fp, fs, fi, part)
+    of _wave_integrals. The pump amplitudes carry the segment lengths. The
+    result, like every stage, is an array of `work`."""
+    e = _wave_integrals(fp, fs, fi, part, work)
     p, s, i = fp[part], fs[part], fi[part]
-    by_signal = i[:, :, None, None, 0] * e[None, :, :, :, 0]     # (idler, segment,
-    by_signal += i[:, :, None, None, 1] * e[None, :, :, :, 1]    # pump, signal waves)
-    del e
-    by_pump = s[:, None, :, None, 0] * by_signal[None, :, :, :, 0]   # (signal, idler,
-    by_pump += s[:, None, :, None, 1] * by_signal[None, :, :, :, 1]  # segment, pump waves)
-    del by_signal
-    total = 0.0
+    product = work.product
+    # (idler, segment, pump, signal waves)
+    by_signal = product("by_signal", i[:, :, None, None, 0], e[None, :, :, :, 0])
+    by_signal += product("term", i[:, :, None, None, 1], e[None, :, :, :, 1])
+    # (signal, idler, segment, pump waves), in the array of the spent e
+    by_pump = product("waves", s[:, None, :, None, 0], by_signal[None, :, :, :, 0])
+    by_pump += product("term", s[:, None, :, None, 1], by_signal[None, :, :, :, 1])
+    total = work.like("wave_sum", p[:, None, None, 0, 0], by_pump[None, :, :, 0, 0])
+    total[...] = 0.0
     for seg in range(p.shape[1]):
         for wave in range(p.shape[2]):
-            total += p[:, None, None, seg, wave] * by_pump[None, :, :, seg, wave]
+            total += product("term", p[:, None, None, seg, wave], by_pump[None, :, :, seg, wave])
     return total
 
 
-def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str) -> np.ndarray:
+def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str, work: _Work) -> np.ndarray:
     """(segment, pump, signal, idler waves, elements...) exp(i theta) *
     sin(theta) / theta, theta the sum of the three waves' angles, from each
-    field's exp(i angle). Only the pump waves 2k and 0 are evaluated: the -2k
-    wave with the other fields' waves swapped has the opposite theta, and so
-    the conjugate value."""
+    field's exp(i angle), as the array "waves" of `work`. Only the pump waves
+    2k and 0 are evaluated: the -2k wave with the other fields' waves swapped
+    has the opposite theta, and so the conjugate value."""
     angle, turn = part + "_angle", part + "_turn"
-    theta = (fp[angle][:, :2, None, None] + fs[angle][:, None, :, None]
-             + fi[angle][:, None, None, :])
-    half = (fp[turn][:, :2, None] * fs[turn][:, None, :])[:, :, :, None] \
-        * fi[turn][:, None, None, :]
-    sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta != 0)
+    a, b = fp[angle][:, :2, None], fs[angle][:, None, :]
+    pair = np.add(a, b, out=work.like("pair_angle", a, b, dtype=float))[:, :, :, None]
+    c = fi[angle][:, None, None, :]
+    theta = np.add(pair, c, out=work.like("theta", pair, c, dtype=float))
+    sinc = np.sin(theta, out=work.like("sinc", theta, dtype=float))
+    zero = theta == 0
+    np.divide(sinc, theta, out=sinc, where=~zero)
+    sinc[zero] = 1.0
+    x, y, z = fp[turn][:, :, None, None], fs[turn][:, None, :, None], fi[turn][:, None, None, :]
+    waves = work.like("waves", x, y, z)
+    half = np.multiply(work.product("pair", x[:, :2], y), z, out=waves[:, :2])
     half.real *= sinc
     half.imag *= sinc
-    return np.concatenate([half, np.conj(half[:, :1, ::-1, ::-1])], axis=1)
+    np.conj(half[:, :1, ::-1, ::-1], out=waves[:, 2:])
+    return waves
 
 
 def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -236,15 +235,17 @@ def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.nda
 
     Fields come from the forward segment recursion (O(log N) array
     operations), which amplifies rounding in the growing mode of deep
-    stopbands. Elements are taken max(1, _CHUNK // N) at a time, which
-    bounds the memory, and an element's J does not depend on the others.
+    stopbands. Elements are taken max(1, _CHUNK // N) at a time, all into
+    one _Work, which bounds the memory, and an element's J does not depend on
+    the others.
     """
     out = np.empty(len(omega_p), dtype=complex)
     step = max(1, _CHUNK // spec.n_periods)
+    work = _Work()
     for lo in range(0, out.size, step):
         fp, fs, fi = (_segment_factors(spec, w[lo:lo + step], role)
                       for w, role in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler")))
-        periods = _wave_sum(fp, fs, fi, "period")[0, 0, 0]     # (elements, period)
+        periods = _wave_sum(fp, fs, fi, "period", work)[0, 0, 0]     # (elements, period)
         out[lo:lo + step] = np.sum(periods, axis=-1)
     return out
 
@@ -520,6 +521,9 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     (in the sweep's x units) from the minimum.
     """
     y = sweep.column(column)
+    if not np.any(y):
+        raise InvalidArgument(f"{column} is zero (zero gamma or pump power); "
+                              "dip contrast undefined")
     x = sweep.x
     imin = int(np.argmin(y))
     off = np.abs(x - x[imin]) > exclude_halfwidth

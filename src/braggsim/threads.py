@@ -1,8 +1,9 @@
-"""The BRAGGSIM_THREADS setting: how many threads the numeric code may use.
+"""The BRAGGSIM_THREADS setting: how many threads BLAS and OpenMP may use.
 
 Read here, without importing numpy, so that the command line can pass it to
-the BLAS and OpenMP thread variables before numpy loads, and the overlap
-kernel reads the same value through the same parser.
+the BLAS and OpenMP thread variables before numpy loads. The overlap kernel
+does not read it: it runs on the calling thread, reusing one set of work
+arrays per call.
 """
 from __future__ import annotations
 
@@ -22,14 +23,3 @@ def requested_threads() -> int:
     if n < 0:
         raise ValueError("BRAGGSIM_THREADS: must be >= 0")
     return n
-
-
-def thread_count() -> int:
-    """Threads to use: BRAGGSIM_THREADS, or the usable cores when automatic
-    (all cores where the platform cannot say which are usable)."""
-    n = requested_threads()
-    if n:
-        return n
-    if hasattr(os, "sched_getaffinity"):      # Linux and some other Unixes
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

@@ -359,6 +359,24 @@ def test_contrast_sweep_zero_pair_rate_is_domain_error(tmp_path, capsys, subcomm
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", ["stim-sweep", "report"])
+@pytest.mark.parametrize("key", ["gamma_per_w_m", "pump_power_mw"])
+def test_stim_sweep_zero_idler_rate_is_domain_error(tmp_path, capsys, subcommand, key):
+    # no stimulated idler makes the swept rate zero everywhere: the message
+    # names the column and the cause, as contrast-sweep's does for a zero pair rate
+    def edit(raw):
+        raw["nonlinear"][key] = 0.0
+
+    out = tmp_path / "o"
+    assert run(subcommand, "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == ("domain error: idler_rate_per_s_per_mw2 is zero (zero gamma or pump "
+                   "power); dip contrast undefined\n")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # subcommands on the tiny scenario
 
@@ -813,33 +831,19 @@ def test_thread_env_invalid(tiny_config, tmp_path, monkeypatch, capsys):
     assert "BRAGGSIM_THREADS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw,expected", [("", None), ("0", None), (" 3 ", 3)])
-def test_thread_count(monkeypatch, raw, expected):
-    import os
-
+@pytest.mark.parametrize("raw,expected", [("", 0), ("0", 0), (" 3 ", 3)])
+def test_requested_threads(monkeypatch, raw, expected):
     from braggsim import threads
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count())
-    assert threads.thread_count() == (expected or cores)
+    assert threads.requested_threads() == expected
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
-def test_thread_count_invalid(monkeypatch, raw):
+def test_requested_threads_invalid(monkeypatch, raw):
     from braggsim import threads
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
     with pytest.raises(ValueError, match="BRAGGSIM_THREADS"):
-        threads.thread_count()
-
-
-def test_thread_count_without_affinity(monkeypatch):
-    # platforms without sched_getaffinity (macOS, Windows) count all cores
-    import os
-
-    from braggsim import threads
-    monkeypatch.delenv("BRAGGSIM_THREADS", raising=False)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert threads.thread_count() == (os.cpu_count() or 1)
+        threads.requested_threads()
 
 
 @pytest.mark.parametrize("subcommand,unloaded", [
@@ -851,7 +855,7 @@ def test_commands_leave_unused_modules_unloaded(tmp_path, subcommand, unloaded):
     # every run pays its imports at start-up: numpy.ma costs 15-17 ms, and
     # neither design nor stim-sweep needs quantum; every command imports fwm,
     # so its import-time cost is checked too. concurrent.futures (7-10 ms,
-    # with logging) stays out even where report's J table runs on two threads
+    # with logging) stays out
     code = ("import sys; from braggsim import cli; "
             f"code = cli.main([{subcommand!r}, '--config', str(cli.bundled_config_path()), "
             f"'--out', {str(tmp_path)!r}, '--quiet']); "
@@ -902,8 +906,8 @@ def test_only_the_entry_point_freezes_the_collector(tiny_config, tmp_path):
 
 
 def test_report_files_do_not_depend_on_the_thread_count(tmp_path):
-    # BRAGGSIM_THREADS sets the BLAS threads before numpy loads as well as
-    # the J table's threads, so each count runs in a process of its own
+    # BRAGGSIM_THREADS sets the BLAS threads before numpy loads, so each count
+    # runs in a process of its own
     files = []
     for threads in ("1", "2"):
         out = tmp_path / threads

@@ -232,7 +232,7 @@ class TestChunkedTable:
     def test_reference_table_memory_without_index_arrays(self):
         # the fields reach the kernel as views, so beyond the 2.6 MB result
         # and the per-frequency field tables the 401^2 table holds only the
-        # tasks in flight (10.4 MB measured at 2 threads)
+        # one set of work arrays its tasks share (5.2 MB measured)
         w1 = SIGNAL_WIN.grid(401).points
         w2 = IDLER_WIN.grid(401).points
         tracemalloc.start()
@@ -241,7 +241,7 @@ class TestChunkedTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 7e6
 
     def test_table_over_three_chunks_equals_elements(self):
         w1, w2 = three_task_grids()
@@ -316,55 +316,62 @@ class TestChunkedTable:
             tracemalloc.stop()
         assert peak < 40e6
 
-    @pytest.mark.parametrize("n1,n2", [(97, 101), (201, 201)])
-    def test_table_does_not_depend_on_thread_count(self, monkeypatch, n1, n2):
-        # 97 x 101 ends in a partial task
-        w1, w2 = exact_grids(n1, n2)
-        tables = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("BRAGGSIM_THREADS", threads)
-            tables.append(fwm.overlap_table(REF, w1, w2))
-        for table in tables[1:]:
-            np.testing.assert_array_equal(table, tables[0])
-
-    def test_error_in_a_worker_thread_propagates(self, monkeypatch):
-        # the second task fails on its worker thread; the error reaches the
-        # caller and no worker is left running
-        monkeypatch.setenv("BRAGGSIM_THREADS", "2")
+    def test_tasks_run_on_the_calling_thread(self, monkeypatch):
+        # every task of a table runs on the calling thread, one after another,
+        # and the call starts no thread
         real = fwm._bloch_chunk
-        calls, count = [], itertools.count(1)
+        calls = []
+
+        def recording(*args):
+            calls.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(fwm, "_bloch_chunk", recording)
+        before = threading.active_count()
+        w1, w2 = exact_grids(97, 101)
+        fwm.overlap_table(REF, w1, w2)
+        assert len(calls) == -(-w1.size // task_rows(w2.size)) > 1
+        assert set(calls) == {threading.main_thread()}
+        assert threading.active_count() == before
+
+    def test_error_in_a_later_task_reaches_the_caller(self, monkeypatch):
+        # the second task fails; the error reaches the caller and no later task runs
+        real = fwm._bloch_chunk
+        count = itertools.count(1)
 
         def second_fails(*args):
-            calls.append(threading.current_thread())
-            if next(count) == 2:          # one C call, so no two tasks share a number
-                raise RuntimeError("failed in a worker thread")
+            if next(count) == 2:
+                raise RuntimeError("failed in the second task")
             return real(*args)
 
         monkeypatch.setattr(fwm, "_bloch_chunk", second_fails)
-        before = threading.active_count()
         w1, w2 = exact_grids(97, 101)
-        with pytest.raises(RuntimeError, match="worker thread"):
+        with pytest.raises(RuntimeError, match="second task"):
             fwm.overlap_table(REF, w1, w2)
-        assert threading.main_thread() not in calls
-        assert threading.active_count() == before
+        assert next(count) == 3
 
-    @pytest.mark.parametrize("threads,tasks,workers", [
-        ("1", 5, 1), ("3", 1, 1), ("2", 2, 2), ("3", 5, 2), ("abc", 1, 1)])
-    def test_worker_count(self, monkeypatch, threads, tasks, workers):
-        # BRAGGSIM_THREADS, capped at the elements-in-flight budget and at the
-        # task count; a one-task call (a sweep up to _CHUNK points, or a
-        # table of up to _CHUNK // n2 rows) runs on the calling thread
-        # without reading the setting
-        monkeypatch.setenv("BRAGGSIM_THREADS", threads)
-        assert fwm._IN_FLIGHT // fwm._CHUNK == 2
-        assert fwm._workers(tasks) == workers
+    @pytest.mark.parametrize("chunk", [512, 1024, 2048])
+    @pytest.mark.parametrize("case", ["reference", "leads", "band-edge-row"])
+    def test_table_does_not_depend_on_the_task_size(self, monkeypatch, chunk, case):
+        # the tasks reuse one set of work arrays, sized by the first task;
+        # 61 rows of 41 end in a partial task at each task size, and the
+        # band-edge row is in task 3, 2 and 1 of them
+        monkeypatch.setattr(fwm, "_CHUNK", chunk)
+        w1, w2 = exact_grids(61, 41)
+        spec = REF
+        if case == "leads":
+            spec = replace(REF, lead_in_length=7e-6, lead_out_length=3e-6)
+        elif case == "band-edge-row":
+            exact, row = transfer._bloch_cosine, 30
 
-    def test_automatic_worker_count_is_capped(self, monkeypatch):
-        # unset, the usable cores, but never more elements in flight than
-        # the budget, so memory does not grow with the host's core count
-        monkeypatch.delenv("BRAGGSIM_THREADS", raising=False)
-        monkeypatch.setattr(fwm, "thread_count", lambda: 64)
-        assert fwm._workers(100) * fwm._CHUNK == fwm._IN_FLIGHT
+            def degenerate(spec, omegas):
+                sign, q = exact(spec, omegas)
+                return sign, np.where(omegas == w1[row], 0.0, q)
+
+            monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+            assert transfer._bloch_fields(REF, w1[row:row + 1], "left")["band_edge"].all()
+        table = fwm.overlap_table(spec, w1, w2)
+        np.testing.assert_array_equal(table, pieces_of_elements(spec, w1, w2, 1000))
 
 
 # --------------------------------------------------------------------------
