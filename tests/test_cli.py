@@ -831,15 +831,16 @@ def test_thread_env_invalid(tiny_config, tmp_path, monkeypatch, capsys):
     assert "BRAGGSIM_THREADS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw,expected", [("", 0), ("0", 0), (" 3 ", 3)])
-def test_requested_threads(monkeypatch, raw, expected):
+@pytest.mark.parametrize("raw,expected", [("", None), ("0", None), (" 3 ", 3)])
+def test_thread_count(monkeypatch, raw, expected):
+    # None: automatic, which the parser reports as 0
     from braggsim import threads
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
-    assert threads.requested_threads() == expected
+    assert threads.requested_threads() == (expected or 0)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
-def test_requested_threads_invalid(monkeypatch, raw):
+def test_thread_count_invalid(monkeypatch, raw):
     from braggsim import threads
     monkeypatch.setenv("BRAGGSIM_THREADS", raw)
     with pytest.raises(ValueError, match="BRAGGSIM_THREADS"):

@@ -316,6 +316,18 @@ class TestChunkedTable:
             tracemalloc.stop()
         assert peak < 40e6
 
+    @pytest.mark.parametrize("n1,n2", [(97, 101), (201, 201)])
+    def test_table_does_not_depend_on_thread_count(self, monkeypatch, n1, n2):
+        # 97 x 101 ends in a partial task; BRAGGSIM_THREADS caps BLAS and
+        # OpenMP only, so the kernel does not read it
+        w1, w2 = exact_grids(n1, n2)
+        tables = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("BRAGGSIM_THREADS", threads)
+            tables.append(fwm.overlap_table(REF, w1, w2))
+        for table in tables[1:]:
+            np.testing.assert_array_equal(table, tables[0])
+
     def test_tasks_run_on_the_calling_thread(self, monkeypatch):
         # every task of a table runs on the calling thread, one after another,
         # and the call starts no thread
