@@ -366,15 +366,23 @@ def _run_spectrum(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     center, span, n_points = cfg.spectrum_grid_args
     grid = make_wavelength_grid(center, span, points or n_points)
     sweep = transmission_spectrum(cfg.grating, grid)
-    report = spectrum_stopband(sweep)
-    summary = {
-        "center_wavelength_nm": report.center_wavelength * 1e9,
-        "rejection_db": report.rejection_db,
-        "band_width_nm": None if report.band_width is None else report.band_width * 1e9,
-    }
-    return [_table("spectrum", fmt, sweep, {"summary": summary})], [
-        f"stopband center {report.center_wavelength * 1e9:.3f} nm, "
-        f"rejection {report.rejection_db:.2f} dB"]
+    bragg_nm = cfg.grating.bragg_wavelength * 1e9
+    lo_nm, hi_nm = sweep.x[0], sweep.x[-1]
+    if not lo_nm <= bragg_nm <= hi_nm:
+        # the transmission minimum of such a range is a sidelobe or an edge
+        summary = dict.fromkeys(("center_wavelength_nm", "rejection_db", "band_width_nm"))
+        message = (f"no stopband: Bragg wavelength {bragg_nm:.3f} nm lies outside "
+                   f"the spectrum range {lo_nm:.3f}-{hi_nm:.3f} nm")
+    else:
+        report = spectrum_stopband(sweep)
+        summary = {
+            "center_wavelength_nm": report.center_wavelength * 1e9,
+            "rejection_db": report.rejection_db,
+            "band_width_nm": None if report.band_width is None else report.band_width * 1e9,
+        }
+        message = (f"stopband center {report.center_wavelength * 1e9:.3f} nm, "
+                   f"rejection {report.rejection_db:.2f} dB")
+    return [_table("spectrum", fmt, sweep, {"summary": summary})], [message]
 
 
 def _run_design(cfg: ScenarioConfig, fmt: str, points, rejection_db):

@@ -377,6 +377,32 @@ def test_stim_sweep_zero_idler_rate_is_domain_error(tmp_path, capsys, subcommand
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_range_without_the_bragg_wavelength(tmp_path, capsys, fmt):
+    # 1552-1560 nm lies inside the model domain but above the stopband at
+    # 1546.080 nm: its transmission minimum is no stopband, so the summary is
+    # null and the data rows are the same as on any other range
+    def edit(raw):
+        raw["spectrum"].update(start_nm=1552.0, stop_nm=1560.0)
+
+    out = tmp_path / "o"
+    assert run("spectrum", "--config", str(reference_variant(tmp_path, edit)),
+               "--out", str(out), "--format", fmt) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "no stopband: Bragg wavelength 1546.080 nm lies outside the spectrum "
+        "range 1552.000-1560.000 nm")
+    if fmt == "csv":
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        assert lines[0] == "wavelength_nm,transmission,transmission_db"
+        assert len(lines) == 4002   # 4001 points on an 8 nm / 2 pm grid
+        assert lines[1].startswith("1.55200000e+03,")
+    else:
+        obj = json.loads((out / "spectrum.json").read_text())
+        assert obj["summary"] == {"center_wavelength_nm": None, "rejection_db": None,
+                                  "band_width_nm": None}
+        assert len(obj["columns"]["wavelength_nm"]) == 4001
+
+
 # --------------------------------------------------------------------------
 # subcommands on the tiny scenario
 

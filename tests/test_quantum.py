@@ -738,11 +738,17 @@ def test_principal_axis_ratio_recovers_aspect():
 # index-contrast sweep
 
 
+def _polyfit_slope(rep):
+    """The oracle: numpy's LAPACK line fit of log rate on log delta_n."""
+    return np.polyfit(np.log(rep.sweep.x), np.log(rep.sweep.column("pair_rate_per_s")), 1)[0]
+
+
 class TestContrastSweep:
     def test_inverse_square_law(self):
         rep = quantum.contrast_sweep(REF, 12.0, [2e-3, 4e-3, 8e-3], PARAMS,
                                      PULSE, SIGNAL_WIN)
         assert rep.slope == pytest.approx(-2.0, abs=0.05)
+        assert rep.slope == pytest.approx(_polyfit_slope(rep), rel=1e-12, abs=0)
         periods = rep.sweep.column("n_periods")
         assert np.all(np.diff(periods) < 0)
         rates = rep.sweep.column("pair_rate_per_s")
@@ -757,6 +763,39 @@ class TestContrastSweep:
                                      SIGNAL_WIN)
         assert rep.slope is None
         assert rep.sweep.x.size == len(contrasts)
+
+    @pytest.mark.parametrize("seed,size,repeats", [(0, 16, 0), (1, 9, 4), (2, 2, 0),
+                                                   (3, 5, 3)],
+                             ids=["16-distinct", "9-with-repeats", "two-points",
+                                  "5-with-repeats"])
+    def test_slope_is_the_least_squares_slope(self, monkeypatch, seed, size, repeats):
+        # seeded positive contrasts and rates, some contrasts repeated, stand in
+        # for the field solve; the closed form must match the LAPACK fit
+        rng = np.random.default_rng(seed)
+        contrasts = rng.uniform(5e-4, 1e-2, size)
+        contrasts = np.concatenate([contrasts, rng.choice(contrasts, repeats)])
+        rates = iter(np.exp(rng.normal(3.0, 2.0, contrasts.size)))
+        monkeypatch.setattr(quantum, "designed_pair_rate",
+                            lambda *args: (100, float(next(rates))))
+        rep = quantum.contrast_sweep(REF, 12.0, contrasts, PARAMS, PULSE, SIGNAL_WIN)
+        assert rep.sweep.x.size == contrasts.size
+        assert rep.slope == pytest.approx(_polyfit_slope(rep), rel=1e-12, abs=0)
+
+    def test_slope_takes_no_lapack_fit(self, monkeypatch):
+        # polyfit binds lstsq at import, so the gufuncs under every binding are
+        # refused as well as the public names
+        from numpy.linalg import _umath_linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK fit was taken")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for name in ("lstsq", "svd", "svd_f", "svd_s"):
+            monkeypatch.setattr(_umath_linalg, name, refuse)
+        rep = quantum.contrast_sweep(REF, 12.0, [2e-3, 4e-3, 8e-3], PARAMS,
+                                     PULSE, SIGNAL_WIN)
+        assert rep.slope == pytest.approx(-2.0, abs=0.05)
 
     def test_contrast_domain(self):
         with pytest.raises(model.InvalidArgument):
@@ -782,6 +821,7 @@ class TestContrastSweep:
         cfg = cli.build_scenario(cli.load_config_dict(path))
         rep = quantum.contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                                      cfg.params, cfg.pulse, cfg.signal_window)
+        assert rep.slope == pytest.approx(_polyfit_slope(rep), rel=1e-12, abs=0)
         rows = zip(rep.sweep.x, rep.sweep.column("n_periods"),
                    rep.sweep.column("pair_rate_per_s"))
         for dn, n_periods, rate in rows:
