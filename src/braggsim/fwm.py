@@ -32,8 +32,8 @@ from .model import (
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .transfer import (WAVELENGTH_DOMAIN, _bloch_fields, _check_domain, _period_segments,
-                       _segment_amplitudes)
+from .transfer import (_CHUNK, WAVELENGTH_DOMAIN, _bloch_fields, _check_domain,
+                       _period_amplitudes, _period_segments)
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -63,12 +63,6 @@ def idler_wavelength(lambda_p: float, lambda_s: float) -> float:
 def _wrap_phase(x):
     """x shifted by the multiple of 2*pi*i that brings its phase nearest 0."""
     return x - 2j * math.pi * np.round(x.imag / (2.0 * math.pi))
-
-
-# elements per task of the Bloch kernel: its widest work arrays, (elements x
-# 24 plane-wave phases), stay near 0.4 MB each however many elements are asked
-# for; a task is whole rows of the result, so a row wider than this is one task
-_CHUNK = 1024
 
 
 class _Work:
@@ -173,7 +167,7 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -
             raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
                               f"sum: a field grows by e^{growth:.1f} across it")
         total[edge] = _overlap_segment_sum(spec, fp["omega"][edge], fs["omega"][edge],
-                                           fi["omega"][edge])
+                                           fi["omega"][edge], work)
     for lead in ("lead_in", "lead_out"):     # present for a lead with a length; one mode
         if lead in fp:
             total += _wave_sum(fp, fs, fi, lead, work)[0, 0, 0]
@@ -227,56 +221,64 @@ def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str, work: _Work) -> np.
     return waves
 
 
-def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
+def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i,
+                         work: _Work) -> np.ndarray:
     """The periods' share of J element-wise: the Bloch kernel's per-period
     weight (_wave_sum) taken with each period's own amplitudes and summed
     over the periods. It is the kernel's path for band-edge elements, which a
     pump sweep across the stopband meets; the kernel adds the leads' share.
 
-    Fields come from the forward segment recursion (O(log N) array
-    operations), which amplifies rounding in the growing mode of deep
-    stopbands. Elements are taken max(1, _CHUNK // N) at a time, all into
-    one _Work, which bounds the memory, and an element's J does not depend on
-    the others.
+    Fields come from the forward segment recursion (_period_amplitudes,
+    O(log N) array operations per block), which amplifies rounding in the
+    growing mode of deep stopbands. It and the weight are taken for at most
+    _CHUNK // 2 (element, period) pairs at a time: max(1, _CHUNK // 2 // N)
+    elements, their periods in blocks of _CHUNK // 2, so that the memory
+    does not grow with N. The weight's stages are written into `work`, the
+    arrays of the kernel task that calls it: a block's stages hold 12 values
+    per pair, and a sweep task's arrays 24 per element, so a block fits
+    them. An element's J does not depend on the others.
     """
-    out = np.empty(len(omega_p), dtype=complex)
-    step = max(1, _CHUNK // spec.n_periods)
-    work = _Work()
+    block = _CHUNK // 2
+    out = np.zeros(len(omega_p), dtype=complex)
+    step = max(1, block // spec.n_periods)
     for lo in range(0, out.size, step):
-        fp, fs, fi = (_segment_factors(spec, w[lo:lo + step], role)
-                      for w, role in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler")))
-        periods = _wave_sum(fp, fs, fi, "period", work)[0, 0, 0]     # (elements, period)
-        out[lo:lo + step] = np.sum(periods, axis=-1)
+        fields = [(w[lo:lo + step], role) for w, role
+                  in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler"))]
+        blocks = zip(*(_period_amplitudes(spec, w, "right" if role == "idler" else "left",
+                                          block) for w, role in fields))
+        for amps in blocks:             # (period, segment, element, fwd/bwd) per field
+            fp, fs, fi = (_fold(spec, role, w, a.transpose(1, 3, 2, 0)[None])
+                          for (w, role), a in zip(fields, amps))
+            weight = _wave_sum(fp, fs, fi, "period", work)[0, 0, 0]   # (elements, period)
+            out[lo:lo + step] += np.sum(weight, axis=-1)
     return out
-
-
-def _segment_factors(spec: GratingSpec, omega: np.ndarray, role: str) -> dict:
-    """The period tables of _fold for the field of `role` as the segment
-    recursion gives it: one mode, whose amplitudes in each period lie on a
-    trailing period axis."""
-    _, _, _, a, b = _segment_amplitudes(spec, omega, "right" if role == "idler" else "left")
-    amps = np.stack([a, b], axis=1)                  # (segment, fwd/bwd, elements)
-    n, first = spec.n_periods, int(spec.lead_in_length > 0)
-    period = np.moveaxis(amps[first:first + 2 * n].reshape((n, 2, 2, -1)), 0, -1)
-    return _fold(spec, role, omega, np.ascontiguousarray(period)[None])
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
     """J evaluated element-wise for 1-D frequency arrays that broadcast to
     one length (a sweep passes its one signal frequency as one element).
 
-    The three fields are solved once per given frequency as Bloch modes of
-    the grating, and the z-integral is summed over the periods in closed
-    form, so the cost does not grow with the period count.
+    The three fields are solved as Bloch modes of the grating, and the
+    z-integral is summed over the periods in closed form, so the cost does
+    not grow with the period count. The elements are taken in tasks of
+    _CHUNK // 4, each of which solves the fields of its own frequencies (a
+    single frequency is solved in every task), so the memory does not grow
+    with the sweep's length.
     """
     omegas = [np.atleast_1d(np.asarray(w, dtype=float)) for w in (omega_p, omega_s, omega_i)]
     try:
         (size,) = np.broadcast_shapes(*(w.shape for w in omegas))
     except ValueError:
         raise InvalidArgument("frequency arrays must be 1-D and broadcast to one length") from None
-    tables = tuple({name: np.broadcast_to(v, v.shape[:-1] + (size,)) for name, v in t.items()}
-                   for t in _field_tables(spec, *omegas))
-    return _bloch_overlap(spec, tables)
+    out = np.empty(size, dtype=complex)
+    step = _CHUNK // 4
+    for lo in range(0, size, step):
+        ws = [w if w.size == 1 else w[lo:lo + step] for w in omegas]
+        n = max(w.size for w in ws)
+        tables = tuple({name: np.broadcast_to(v, v.shape[:-1] + (n,)) for name, v in t.items()}
+                       for t in _field_tables(spec, *ws))
+        out[lo:lo + step] = _bloch_overlap(spec, tables)
+    return out
 
 
 def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):

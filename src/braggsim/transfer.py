@@ -45,6 +45,18 @@ __all__ = [
 # validity window of the constant-effective-index dispersion model
 WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
 
+# frequencies per task of the array kernels, so that their temporaries do
+# not grow with the number of frequencies asked for: transmission_spectrum
+# solves structure_matrix _CHUNK frequencies at a time. fwm's Bloch overlap
+# writes into work arrays of about 1.8 KB per element. A JSD table takes tasks
+# of whole rows of at most _CHUNK elements (one row when a row is wider) that
+# view factor tables solved once for the grid. A sweep takes tasks of
+# _CHUNK // 4 elements, since each also solves its own factor tables (about
+# 1 KB per element, 2 KB while they are solved) and the heap keeps the
+# high-water mark of a task's arrays. The band-edge segment sum takes
+# _CHUNK // 2 (element, period) pairs at a time.
+_CHUNK = 1024
+
 
 def _check_domain(omega, label: str) -> None:
     lam = wavelength_from_omega(np.asarray(omega, dtype=float))
@@ -138,8 +150,10 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
 def transmission_spectrum(spec: GratingSpec, grid: FrequencyGrid) -> SweepResult:
     """Power transmission over the grid, inside the model domain, by ascending wavelength."""
     _check_domain(grid.points, "spectrum")
-    m = structure_matrix(spec, grid.points)
-    trans = 1.0 / np.abs(m[..., 0, 0]) ** 2
+    trans = np.empty(grid.n_points)
+    for lo in range(0, trans.size, _CHUNK):
+        m = structure_matrix(spec, grid.points[lo:lo + _CHUNK])
+        trans[lo:lo + _CHUNK] = 1.0 / np.abs(m[..., 0, 0]) ** 2
     lam_nm = grid.wavelengths * 1e9
     order = np.argsort(lam_nm)
     trans = trans[order]
@@ -289,18 +303,15 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     (n_segments, n_frequencies); segments run from the lead-in (if any)
     through each period's low-index and unperturbed segments to the lead-out.
 
-    The states entering periods [m, 2m) are fwd^m times those entering
-    [0, m), from the exact entry state; the lead-out starts from the state
-    after period N, not the exact exit state, so tests of it check the recursion.
+    The states entering the periods are those of _period_states, from the
+    exact entry state, in one block; the lead-out starts from the state after
+    period N, not the exact exit state, so tests of it check the recursion.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
     start, entry, _ = _facet_states(spec, omegas, side)
     n = spec.n_periods
-    states, power = entry[None], fwd            # power = fwd^len(states)
-    while len(states) <= n:
-        states = np.concatenate([states, _mul(power, states[..., None])[..., 0]])
-        power = _mul(power, power)
+    (states,) = _period_states(fwd, entry, n + 1, n + 1)
     into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
     amps = _mul(into_segments, states[:n, None, ..., None])[..., 0]
 
@@ -314,6 +325,38 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     n_effs, lengths, amps = (np.concatenate(p) for p in zip(*parts))
     z_starts = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
     return z_starts, lengths, n_effs, amps[..., 0], amps[..., 1]
+
+
+def _period_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str, block: int):
+    """The amplitudes of _segment_amplitudes in the periods alone, as
+    (period, segment, frequency, fwd/bwd) arrays of `block` periods at a time
+    (see _period_states), so that one block of them is held at a time."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
+    _, entry, _ = _facet_states(spec, omegas, side)
+    into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
+    for states in _period_states(fwd, entry, spec.n_periods, block):
+        yield _mul(into_segments, states[:, None, ..., None])[..., 0]
+
+
+def _period_states(fwd, entry, count: int, block: int):
+    """The states fwd^m entry entering periods m = 0 .. count - 1, in blocks
+    of `block` rounded up to a power of two (one block when that reaches
+    count), formed by doubling: states [m, 2m) are fwd^m times states [0, m).
+    A later block is the first one times fwd^(2^k) for each set bit k of its
+    offset, lowest first, which is the product the doubling forms, so a state
+    does not depend on `block`."""
+    states, power = entry[None], fwd            # power = fwd^len(states)
+    while len(states) < min(block, count):
+        states = np.concatenate([states, _mul(power, states[..., None])[..., 0]])
+        power = _mul(power, power)
+    for lo in range(0, count, len(states)):
+        part, bits, square = states[:count - lo], lo // len(states), power
+        while bits:
+            if bits & 1:
+                part = _mul(square, part[..., None])[..., 0]
+            bits, square = bits >> 1, _mul(square, square)
+        yield part
 
 
 # Below this q = 1 - |cos K Lambda| the two Bloch modes are too close to

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -415,8 +416,8 @@ class TestBandEdge:
         args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 41)
         k_p, k_s, k_i = (transfer.wavenumber(spec.n_hi, w) for w in args)
         phase = np.exp(1j * ((2.0 * k_p - k_s) * lead_in + k_i * lead_out))
-        assert max_rel(fwm._overlap_segment_sum(spec, *args),
-                       phase * fwm._overlap_segment_sum(bare, *args)) < 1e-11
+        assert max_rel(fwm._overlap_segment_sum(spec, *args, fwm._Work()),
+                       phase * fwm._overlap_segment_sum(bare, *args, fwm._Work())) < 1e-11
 
     def test_float_period_count(self, monkeypatch):
         # stored as an int: the segment recursion slices by it, and the
@@ -430,6 +431,33 @@ class TestBandEdge:
         monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
         args = ([w_p], [W_S], [2.0 * w_p - W_S])
         assert fwm.overlap_elements(spec, *args) == fwm.overlap_elements(whole, *args)
+
+    @pytest.mark.parametrize("n_periods", [2000, 700, 240],
+                             ids=["reference", "not-a-multiple", "below-a-block"])
+    def test_blocked_segment_sum_matches_one_block(self, monkeypatch, n_periods):
+        # the band-edge path forms the per-period weight for at most
+        # _CHUNK // 2 (element, period) pairs at a time; with _CHUNK at 2 N
+        # elements, one block holds every period of every element
+        spec = replace(REF, n_periods=n_periods)
+        args = pump_scan(spec.bragg_wavelength - 2e-9, spec.bragg_wavelength + 2e-9, 5)
+        real, blocks = fwm._wave_sum, []
+
+        def recording(fp, fs, fi, part, work):
+            blocks.append(fp[part].shape[-2:])          # (elements, periods)
+            return real(fp, fs, fi, part, work)
+
+        monkeypatch.setattr(fwm, "_wave_sum", recording)
+        blocked = fwm._overlap_segment_sum(spec, *args, fwm._Work())
+        block = fwm._CHUNK // 2
+        assert all(elements * periods <= block for elements, periods in blocks)
+        assert max(periods for _, periods in blocks) == min(n_periods, block)
+        blocks.clear()
+        monkeypatch.setattr(fwm, "_CHUNK", 2 * args[0].size * n_periods)
+        whole = fwm._overlap_segment_sum(spec, *args, fwm._Work())
+        assert blocks == [(args[0].size, n_periods)]
+        assert max_rel(blocked, whole) < 1e-13
+        if n_periods < block:       # one block either way, so the same sum
+            np.testing.assert_array_equal(blocked, whole)
 
     @pytest.mark.filterwarnings("error")
     def test_exactly_degenerate_modes(self, band_edge, monkeypatch):
@@ -449,6 +477,78 @@ class TestBandEdge:
         value = fwm.overlap_elements(REF, *args)
         assert np.all(np.isfinite(value))
         assert max_rel(value, oracle(REF, *args)) < 1e-9
+
+
+class TestSweepTasks:
+    def test_tasks_solve_their_own_fields(self, monkeypatch):
+        # a sweep's fields are solved task by task, its one signal frequency
+        # in every task
+        real, sizes = fwm._field_tables, []
+
+        def recording(spec, omega_p, omega_s, omega_i):
+            sizes.append((omega_p.size, omega_s.size, omega_i.size))
+            return real(spec, omega_p, omega_s, omega_i)
+
+        monkeypatch.setattr(fwm, "_field_tables", recording)
+        task = fwm._CHUNK // 4
+        w_p, w_s, w_i = pump_scan(1541.9e-9, 1550e-9, 2 * task + 7)
+        fwm.overlap_elements(REF, w_p, w_s[:1], w_i)
+        assert sizes == [(task, 1, task), (task, 1, task), (7, 1, 7)]
+
+    @pytest.mark.parametrize("chunk", [512, 1024, 2048])
+    @pytest.mark.parametrize("case", ["reference", "leads", "band-edge"])
+    def test_sweep_does_not_depend_on_the_task_size(self, monkeypatch, band_edge, chunk,
+                                                    case):
+        # 1300 elements end in a partial task at each task size, and the
+        # pieces of 97 elements the sweep is checked against do not line up
+        # with its tasks; the band-edge element is in task 5, 3 and 2 of them
+        monkeypatch.setattr(fwm, "_CHUNK", chunk)
+        w_p, w_s, w_i = pump_scan(1541.9e-9, 1550e-9, 1300)
+        spec = REF
+        if case == "leads":
+            spec = replace(REF, lead_in_length=7e-6, lead_out_length=3e-6)
+        elif case == "band-edge":
+            w_p[600] = band_edge
+            w_i = 2.0 * w_p - w_s
+            exact = transfer._bloch_cosine
+
+            def degenerate(spec, omegas):
+                sign, q = exact(spec, omegas)
+                return sign, np.where(omegas == band_edge, 0.0, q)
+
+            monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+            assert transfer._bloch_fields(REF, w_p[600:601], "left")["band_edge"].all()
+        task = fwm._CHUNK // 4
+        assert w_p.size > task and w_p.size % task
+        sweep = fwm.overlap_elements(spec, w_p, w_s[:1], w_i)
+        pieces = [fwm.overlap_elements(spec, w_p[i:i + 97], w_s[:1], w_i[i:i + 97])
+                  for i in range(0, w_p.size, 97)]
+        np.testing.assert_array_equal(sweep, np.concatenate(pieces))
+
+    def test_empty_sweep(self):
+        for args in (([], [], []), ([], [W_S], [])):
+            value = fwm.overlap_elements(REF, *args)
+            assert value.shape == (0,) and value.dtype == complex
+
+    def test_sweep_memory_does_not_grow_with_its_length(self):
+        # one task's fields and work arrays are held at a time, so beyond
+        # the result (16 bytes per element) the peak does not grow with the
+        # sweep: off the stopband a one-task sweep peaks at 0.89 MB under
+        # tracemalloc and a 16-task sweep at 0.96 MB (7.8 MB when every
+        # field was solved before the first task)
+        task = fwm._CHUNK // 4
+
+        def peak(n):
+            w_p, w_s, w_i = pump_scan(1541e-9, 1544e-9, n)
+            fwm.overlap_elements(REF, w_p, w_s[:1], w_i)
+            tracemalloc.start()
+            try:
+                fwm.overlap_elements(REF, w_p, w_s[:1], w_i)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * task) < 1.3 * peak(task)
 
 
 # --------------------------------------------------------------------------
