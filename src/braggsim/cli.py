@@ -354,9 +354,9 @@ def _json_text(obj) -> str:
 
 
 def _table(stem: str, fmt: str, sweep, extras: dict) -> tuple:
-    """The sweep's CSV, or its JSON with `extras` beside the columns."""
+    """The sweep's CSV, its rows in blocks, or its JSON with `extras`."""
     if fmt == "csv":
-        return f"{stem}.csv", sweep.to_csv_text(), ()
+        return f"{stem}.csv", sweep.csv_header(), sweep.csv_blocks()
     return f"{stem}.json", _json_text({"columns": sweep.to_json_obj(), **extras}), ()
 
 

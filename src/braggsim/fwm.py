@@ -33,7 +33,7 @@ from .model import (
     wavelength_from_omega,
 )
 from .transfer import (_CHUNK, WAVELENGTH_DOMAIN, _bloch_fields, _check_domain,
-                       _period_amplitudes, _period_segments)
+                       _facet_states, _mat_power, _mul, _period_maps, _period_segments)
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -66,10 +66,10 @@ def _wrap_phase(x):
 
 
 class _Work:
-    """The work arrays that every task of one kernel call writes its large
-    temporaries into, so that a call allocates them once: glibc hands freed
-    arrays of this size back to the OS, and the next task would fault them
-    in again."""
+    """The work arrays that every task of one kernel call (its band-edge
+    elements too) writes its large temporaries into, so that a call
+    allocates them once: glibc hands freed arrays of this size back to the
+    OS, and the next task would fault them in again."""
 
     def __init__(self):
         self._arrays = {}
@@ -112,13 +112,6 @@ def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
     return out
 
 
-# Largest growth g = N * max Re(log_ratio) of a field for the segment sum, a
-# forward recursion: with the reference's pump at the Bragg centre its J
-# misses the closed form by 1.3e-11 at g = 17.4, 1.4e-10 at 18.8, 2.4e-9 at
-# 20.3 and 8e-7 at 23.2 (growing as e^2g), past the 1e-9 the kernel is held to.
-_SEGMENT_SUM_GROWTH = 19.0
-
-
 def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -> np.ndarray:
     """J from the factor tables of _field_factors paired element-wise (equal
     trailing shapes), with every large temporary in `work`.
@@ -129,10 +122,10 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -
     the combination's per-period ratios, and the series is the product of
     the num[0] factors less that of num[1], over R - 1. Where |R - 1| < 1/N,
     where that would cancel, it is taken from the wrapped log of R. Elements
-    with a field at a band edge take the sum over the periods from the segment
-    sum instead, or raise OutOfDomain where a field grows too much across the
-    grating for it. The leads, single uniform segments, are then added to
-    every element from the exact facet states.
+    with a field at a band edge, where its two modes coincide, take the sum
+    over the periods from _band_edge_sum instead, a matrix power whose cost
+    does not grow with N either. The leads, single uniform segments, are
+    then added to every element from the exact facet states.
     """
     def combine(into, name, index=slice(None)):
         pair = work.product("pair", fp[name][index][:, None, None],
@@ -162,12 +155,8 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -
 
     edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
-        growth = max(np.max(f["growth"][edge]) for f in (fp, fs, fi))
-        if growth > _SEGMENT_SUM_GROWTH:
-            raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
-                              f"sum: a field grows by e^{growth:.1f} across it")
-        total[edge] = _overlap_segment_sum(spec, fp["omega"][edge], fs["omega"][edge],
-                                           fi["omega"][edge], work)
+        total[edge] = _band_edge_sum(spec, *({name: v[..., edge] for name, v in f.items()}
+                                             for f in (fp, fs, fi)), work)
     for lead in ("lead_in", "lead_out"):     # present for a lead with a length; one mode
         if lead in fp:
             total += _wave_sum(fp, fs, fi, lead, work)[0, 0, 0]
@@ -221,37 +210,66 @@ def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str, work: _Work) -> np.
     return waves
 
 
-def _overlap_segment_sum(spec: GratingSpec, omega_p, omega_s, omega_i,
-                         work: _Work) -> np.ndarray:
-    """The periods' share of J element-wise: the Bloch kernel's per-period
-    weight (_wave_sum) taken with each period's own amplitudes and summed
-    over the periods. It is the kernel's path for band-edge elements, which a
-    pump sweep across the stopband meets; the kernel adds the leads' share.
+# Largest growth G, N times the summed max Re(log_ratio) of _band_edge_sum's
+# lifted fields: J then misses the closed form by up to ~3e-15 e^G (see README).
+_LIFTED_GROWTH = 11.0
 
-    Fields come from the forward segment recursion (_period_amplitudes,
-    O(log N) array operations per block), which amplifies rounding in the
-    growing mode of deep stopbands. It and the weight are taken for at most
-    _CHUNK // 2 (element, period) pairs at a time: max(1, _CHUNK // 2 // N)
-    elements, their periods in blocks of _CHUNK // 2, so that the memory
-    does not grow with N. The weight's stages are written into `work`, the
-    arrays of the kernel task that calls it: a block's stages hold 12 values
-    per pair, and a sweep task's arrays 24 per element, so a block fits
-    them. An element's J does not depend on the others.
+
+def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -> np.ndarray:
+    """The periods' share of J from the factor tables of _field_factors at
+    band-edge elements (1-D), with _wave_sum's stages in `work`.
+
+    A field flagged band_edge is lifted: it enters period m in the state
+    F^m e (F the `fwd` map of _period_maps, e the entry state of
+    _facet_states), conjugated for the signal, as its symmetric square (the
+    pairs of _pairs) for the pump. The others stay in their Bloch modes,
+    whose maps are diagonal, so no growing mode of theirs is squared. The
+    product state moves by the Kronecker product T of the three maps, and
+    with w from _wave_sum (_fold handed the basis states) the sum is
+    w . sum_{m<N} T^m y_0, the last column of [[T, y_0], [0, 1]]^N by
+    squaring (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
     """
-    block = _CHUNK // 2
-    out = np.zeros(len(omega_p), dtype=complex)
-    step = max(1, block // spec.n_periods)
-    for lo in range(0, out.size, step):
-        fields = [(w[lo:lo + step], role) for w, role
-                  in zip((omega_p, omega_s, omega_i), ("pump", "signal", "idler"))]
-        blocks = zip(*(_period_amplitudes(spec, w, "right" if role == "idler" else "left",
-                                          block) for w, role in fields))
-        for amps in blocks:             # (period, segment, element, fwd/bwd) per field
-            fp, fs, fi = (_fold(spec, role, w, a.transpose(1, 3, 2, 0)[None])
-                          for (w, role), a in zip(fields, amps))
-            weight = _wave_sum(fp, fs, fi, "period", work)[0, 0, 0]   # (elements, period)
-            out[lo:lo + step] += np.sum(weight, axis=-1)
-    return out
+    n = len(fp["omega"])
+    growth = spec.n_periods * np.max(sum(np.max(f["log_ratio"].real, axis=0) * f["band_edge"]
+                                         for f in (fp, fs, fi)))
+    if growth > _LIFTED_GROWTH:
+        raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
+                          f"sum: its lifted fields grow by e^{growth:.1f} across it")
+    omegas = np.concatenate([f["omega"] for f in (fp, fs, fi)])
+    into_lo, lo_to_hi, fwds = _period_maps(spec, omegas)
+    _, entries, _ = _facet_states(spec, omegas, np.repeat([False, False, True], n))
+    bases = np.moveaxis(np.stack([into_lo, _mul(lo_to_hi, into_lo)]), (-1, 0, -2), (0, 1, 2))
+    tables, maps, starts = [], [], []
+    for k, (f, role) in enumerate(zip((fp, fs, fi), ("pump", "signal", "idler"))):
+        lift, part = f["band_edge"], slice(k * n, (k + 1) * n)
+        fwd, entry = fwds[part], entries[part]
+        basis = _fold(spec, role, f["omega"], bases[..., part])["period"]
+        tables.append(dict(f, period=np.where(lift, basis, f["period"])))
+        if role == "pump":
+            pairs = _pairs(2)
+            fwd = np.stack([np.stack([(fwd[:, a, c] * fwd[:, b, d] + fwd[:, a, d] * fwd[:, b, c])
+                                      * (w / 2.0) for c, d, w in pairs], axis=-1)
+                            for a, b, _ in pairs], axis=-2)
+            entry = np.stack([entry[:, a] * entry[:, b] for a, b, _ in pairs], axis=-1)
+        elif role == "signal":
+            fwd, entry = np.conj(fwd), np.conj(entry)
+        modes = f["ratio"].T[:, :, None] * np.eye(len(f["ratio"]))
+        maps.append(np.where(lift[:, None, None], fwd, modes))
+        starts.append(np.where(lift[:, None], entry, f["num"][1].T))
+    yp, ys, yi = starts
+    lifted = (*maps, yp[:, :, None, None] * ys[:, None, :, None] * yi[:, None, None, :])
+    states = _mat_power(lifted, spec.n_periods, _lifted_product)[3]
+    weight = _wave_sum(*tables, "period", work).reshape(12, n).T[:, None]
+    return _mul(weight, states.reshape(n, 12, 1))[:, 0, 0]
+
+
+def _lifted_product(a, b):
+    """[[T_a T_b, T_a y_b + y_a], [0, 1]] from two maps [[T, y], [0, 1]] of
+    _band_edge_sum, each held as T's (pump, signal, idler) factors and y."""
+    (pa, sa, ia, ya), (pb, sb, ib, yb) = a, b
+    y = _mul(pa, yb.reshape(-1, 3, 4)).reshape(yb.shape)
+    y = _mul(_mul(sa[:, None], y), ia[:, None].swapaxes(-1, -2))
+    return _mul(pa, pb), _mul(sa, sb), _mul(ia, ib), y + ya
 
 
 def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray:
@@ -259,11 +277,11 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
     one length (a sweep passes its one signal frequency as one element).
 
     The three fields are solved as Bloch modes of the grating, and the
-    z-integral is summed over the periods in closed form, so the cost does
-    not grow with the period count. The elements are taken in tasks of
-    _CHUNK // 4, each of which solves the fields of its own frequencies (a
-    single frequency is solved in every task), so the memory does not grow
-    with the sweep's length.
+    z-integral is summed over the periods in closed form (by a matrix power
+    at a band edge), so the cost does not grow with the period count. The
+    elements are taken in tasks of _CHUNK // 4, each of which solves the
+    fields of its own frequencies (a single frequency is solved in every
+    task), so the memory does not grow with the sweep's length.
     """
     omegas = [np.atleast_1d(np.asarray(w, dtype=float)) for w in (omega_p, omega_s, omega_i)]
     try:
@@ -333,8 +351,7 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
                      numerator of a combination's geometric series is the
                      product of num[0] less that of num[1]
-    - omega, band_edge, growth:  for the band-edge fallback; growth is
-                     N * max Re(log_ratio), the field's growth across the grating
+    - omega, band_edge:  for _band_edge_sum
 
     Mode axes come first; for the pump they run over the mode pairs of
     _pairs. The signal's factors are conjugated, as J reads it.
@@ -352,7 +369,6 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     elif role == "signal":
         ratio, lr, num = np.conj(ratio), np.conj(lr), np.conj(num)
     table = {"omega": field["omega"], "band_edge": field["band_edge"],
-             "growth": n * np.max(field["log_ratio"].real, axis=0),
              "ratio": ratio, "log_ratio": lr, "num": num}
     table.update(_fold(spec, role, field["omega"], field["period"],
                        field["lead_in"], field["lead_out"]))
@@ -363,15 +379,15 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
 def _fold(spec: GratingSpec, role: str, omega, period, lead_in=None, lead_out=None) -> dict:
     """The tables of one field that _wave_sum reads, from its frequencies
     omega (elements), the amplitudes `period` (mode, segment, fwd/bwd,
-    elements, ...) at each segment's left edge and the lead states
-    (fwd/bwd, elements), if given:
+    elements) at each segment's left edge and the lead states (fwd/bwd,
+    elements), if given:
 
-    - period:        (mode, segment, wave, elements, ...)  the amplitude of
-                     each plane wave of _WAVES; the pump's are those of each
-                     mode pair of _pairs times the segment length, the
-                     signal's are conjugated
-    - period_angle:  (segment, wave, elements, 1, ...)  each wave's wavenumber
-                     times half the segment length, and period_turn its exp(i angle)
+    - period:        (mode, segment, wave, elements)  the amplitude of each
+                     plane wave of _WAVES; the pump's are those of each mode
+                     pair of _pairs times the segment length, the signal's
+                     are conjugated
+    - period_angle:  (segment, wave, elements)  each wave's wavenumber times
+                     half the segment length, and period_turn its exp(i angle)
     - lead_in, lead_out (with _angle, _turn): the same for the field in that
                      lead, one segment of one mode; present only if its state
                      is given and the lead has a length
@@ -384,15 +400,13 @@ def _fold(spec: GratingSpec, role: str, omega, period, lead_in=None, lead_out=No
             parts[name] = (np.array([length]), k[1][None], state[None, None])
     table = {}
     for name, (lengths, k, amps) in parts.items():
-        trailing = (1,) * (amps.ndim - 3)
-        k = np.reshape(k, k.shape + trailing[1:])      # length 1 past the elements
-        lengths = np.reshape(lengths, (-1, 1) + trailing)      # (segment, wave, ...)
+        lengths = np.reshape(lengths, (-1, 1, 1))      # (segment, wave, elements)
         if role == "pump":
             amps = np.stack([w * _pump_waves(amps[a], amps[b])
                              for a, b, w in _pairs(len(amps))]) * lengths
         elif role == "signal":
             amps = np.conj(amps)
-        angle = 0.5 * lengths * np.reshape(_WAVES[role], (-1,) + trailing) * k[:, None]
+        angle = 0.5 * lengths * np.reshape(_WAVES[role], (-1, 1)) * k[:, None]
         table.update({name: amps, name + "_angle": angle,
                       name + "_turn": np.exp(1j * angle)})
     return table

@@ -417,6 +417,7 @@ class NonlinearParams:
 
 
 _FMT = "{:.8e}"  # fixed scientific notation, 9 significant digits
+_CSV_BLOCK = 1024  # rows per block of SweepResult.csv_blocks
 
 # A cell is the _FMT text of one value in 16 byte slots, 0 where unused:
 # sign, digit, ".", 8 digits, "e", exponent sign, hundreds, tens, units
@@ -532,10 +533,18 @@ class SweepResult:
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
 
+    def csv_header(self) -> str:
+        return ",".join([self.x_name, *self.columns]) + "\n"
+
+    def csv_blocks(self):
+        """The CSV rows, each value formatted as _FMT, in blocks of _CSV_BLOCK."""
+        for lo in range(0, self.x.size, _CSV_BLOCK):
+            yield _csv_rows([_format_cells(s[lo:lo + _CSV_BLOCK])
+                             for s in (self.x, *self.columns.values())])
+
     def to_csv_text(self) -> str:
-        """The header and every row, each value formatted as _FMT."""
-        rows = _csv_rows([_format_cells(s) for s in (self.x, *self.columns.values())])
-        return ",".join([self.x_name, *self.columns]) + "\n" + rows
+        """The header and every row."""
+        return self.csv_header() + "".join(self.csv_blocks())
 
     def to_json_obj(self) -> dict:
         out = {self.x_name: [_FMT.format(v) for v in self.x]}

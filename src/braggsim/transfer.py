@@ -53,8 +53,7 @@ WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
 # view factor tables solved once for the grid. A sweep takes tasks of
 # _CHUNK // 4 elements, since each also solves its own factor tables (about
 # 1 KB per element, 2 KB while they are solved) and the heap keeps the
-# high-water mark of a task's arrays. The band-edge segment sum takes
-# _CHUNK // 2 (element, period) pairs at a time.
+# high-water mark of a task's arrays.
 _CHUNK = 1024
 
 
@@ -93,23 +92,23 @@ def _prop_stack(k, length: float) -> np.ndarray:
 
 
 def _mul(a, b) -> np.ndarray:
-    """Stacked 2x2 products a @ b, where b may also be a stack of 2x1
-    columns, written as two broadcast outer products: numpy's matmul makes
-    one BLAS call per 2x2 matrix."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    """Stacked matrix products a @ b as broadcast outer products summed in
+    order: numpy's matmul makes one BLAS call per small matrix."""
+    terms = [a[..., :, k:k + 1] * b[..., k:k + 1, :] for k in range(a.shape[-1])]
+    return sum(terms[1:], terms[0])
 
 
-def _mat_power(m, n: int) -> np.ndarray:
-    """m**n for n >= 1 by repeated squaring, multiplied in the order of
-    np.linalg.matrix_power."""
+def _mat_power(m, n: int, mul=_mul) -> np.ndarray:
+    """m**n for n >= 1 by repeated squaring, multiplied by `mul` in the
+    order of np.linalg.matrix_power."""
     result = None
     while True:
         n, bit = divmod(n, 2)
         if bit:
-            result = m if result is None else _mul(result, m)
+            result = m if result is None else mul(result, m)
         if not n:
             return result
-        m = _mul(m, m)
+        m = mul(m, m)
 
 
 def _iface_stack(k1, k2) -> np.ndarray:
@@ -304,14 +303,14 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     through each period's low-index and unperturbed segments to the lead-out.
 
     The states entering the periods are those of _period_states, from the
-    exact entry state, in one block; the lead-out starts from the state after
-    period N, not the exact exit state, so tests of it check the recursion.
+    exact entry state; the lead-out starts from the state after period N,
+    not the exact exit state, so tests of it check the recursion.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
     start, entry, _ = _facet_states(spec, omegas, side)
     n = spec.n_periods
-    (states,) = _period_states(fwd, entry, n + 1, n + 1)
+    states = _period_states(fwd, entry, n + 1)
     into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
     amps = _mul(into_segments, states[:n, None, ..., None])[..., 0]
 
@@ -327,41 +326,18 @@ def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):
     return z_starts, lengths, n_effs, amps[..., 0], amps[..., 1]
 
 
-def _period_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str, block: int):
-    """The amplitudes of _segment_amplitudes in the periods alone, as
-    (period, segment, frequency, fwd/bwd) arrays of `block` periods at a time
-    (see _period_states), so that one block of them is held at a time."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
-    _, entry, _ = _facet_states(spec, omegas, side)
-    into_segments = np.stack([into_lo, _mul(lo_to_hi, into_lo)])
-    for states in _period_states(fwd, entry, spec.n_periods, block):
-        yield _mul(into_segments, states[:, None, ..., None])[..., 0]
-
-
-def _period_states(fwd, entry, count: int, block: int):
-    """The states fwd^m entry entering periods m = 0 .. count - 1, in blocks
-    of `block` rounded up to a power of two (one block when that reaches
-    count), formed by doubling: states [m, 2m) are fwd^m times states [0, m).
-    A later block is the first one times fwd^(2^k) for each set bit k of its
-    offset, lowest first, which is the product the doubling forms, so a state
-    does not depend on `block`."""
+def _period_states(fwd, entry, count: int):
+    """The states fwd^m entry entering periods m < count, by doubling."""
     states, power = entry[None], fwd            # power = fwd^len(states)
-    while len(states) < min(block, count):
+    while len(states) < count:
         states = np.concatenate([states, _mul(power, states[..., None])[..., 0]])
         power = _mul(power, power)
-    for lo in range(0, count, len(states)):
-        part, bits, square = states[:count - lo], lo // len(states), power
-        while bits:
-            if bits & 1:
-                part = _mul(square, part[..., None])[..., 0]
-            bits, square = bits >> 1, _mul(square, square)
-        yield part
+    return states[:count]
 
 
 # Below this q = 1 - |cos K Lambda| the two Bloch modes are too close to
 # parallel (they coincide at the band edge) for the closed form: its error
-# grows as ~1e-19 / |q|, so such frequencies are flagged for the segment sum.
+# grows as ~1e-19 / |q|, so such frequencies are flagged for fwm's lifted power.
 BAND_EDGE_Q = 1e-9
 
 

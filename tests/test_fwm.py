@@ -405,8 +405,8 @@ class TestBandEdge:
     @pytest.mark.parametrize("seed,n_periods,sign,lead_in,lead_out", [
         (11, 10, -1.0, 7e-6, 0.0), (12, 57, 1.0, 0.0, 13e-6),
         (13, 240, -1.0, 2.5e-6, 19e-6), (14, 911, 1.0, 50e-6, 30e-6)])
-    def test_segment_sum_leads_shift_only_the_phase(self, seed, n_periods, sign, lead_in,
-                                                    lead_out):
+    def test_segment_sum_leads_shift_only_the_phase(self, monkeypatch, seed, n_periods, sign,
+                                                    lead_in, lead_out):
         # a lead is the ambient waveguide (k = n_hi omega / c), so the band-edge
         # path's period sum with leads is the one without times
         # exp(i[(2 k_p - k_s) L_in + k_i L_out]): it holds no lead term
@@ -416,12 +416,18 @@ class TestBandEdge:
         args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 41)
         k_p, k_s, k_i = (transfer.wavenumber(spec.n_hi, w) for w in args)
         phase = np.exp(1j * ((2.0 * k_p - k_s) * lead_in + k_i * lead_out))
-        assert max_rel(fwm._overlap_segment_sum(spec, *args, fwm._Work()),
-                       phase * fwm._overlap_segment_sum(bare, *args, fwm._Work())) < 1e-11
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+
+        def periods(spec):
+            tables = fwm._field_tables(spec, *args)
+            assert all(t["band_edge"].all() for t in tables)
+            return fwm._band_edge_sum(spec, *tables, fwm._Work())
+
+        assert max_rel(periods(spec), phase * periods(bare)) < 1e-11
 
     def test_float_period_count(self, monkeypatch):
         # stored as an int: the segment recursion slices by it, and the
-        # band-edge segment sum steps by it
+        # band-edge path's matrix power takes it bit by bit
         spec, whole = replace(REF, n_periods=200.0), replace(REF, n_periods=200)
         assert type(spec.n_periods) is int
         w_p = model.omega_from_wavelength(REF.bragg_wavelength)
@@ -429,35 +435,16 @@ class TestBandEdge:
                         transfer._segment_amplitudes(whole, [w_p], "left")):
             np.testing.assert_array_equal(a, b)
         monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        real, calls = fwm._band_edge_sum, []
+
+        def recording(spec, *args):
+            calls.append(spec.n_periods)
+            return real(spec, *args)
+
+        monkeypatch.setattr(fwm, "_band_edge_sum", recording)
         args = ([w_p], [W_S], [2.0 * w_p - W_S])
         assert fwm.overlap_elements(spec, *args) == fwm.overlap_elements(whole, *args)
-
-    @pytest.mark.parametrize("n_periods", [2000, 700, 240],
-                             ids=["reference", "not-a-multiple", "below-a-block"])
-    def test_blocked_segment_sum_matches_one_block(self, monkeypatch, n_periods):
-        # the band-edge path forms the per-period weight for at most
-        # _CHUNK // 2 (element, period) pairs at a time; with _CHUNK at 2 N
-        # elements, one block holds every period of every element
-        spec = replace(REF, n_periods=n_periods)
-        args = pump_scan(spec.bragg_wavelength - 2e-9, spec.bragg_wavelength + 2e-9, 5)
-        real, blocks = fwm._wave_sum, []
-
-        def recording(fp, fs, fi, part, work):
-            blocks.append(fp[part].shape[-2:])          # (elements, periods)
-            return real(fp, fs, fi, part, work)
-
-        monkeypatch.setattr(fwm, "_wave_sum", recording)
-        blocked = fwm._overlap_segment_sum(spec, *args, fwm._Work())
-        block = fwm._CHUNK // 2
-        assert all(elements * periods <= block for elements, periods in blocks)
-        assert max(periods for _, periods in blocks) == min(n_periods, block)
-        blocks.clear()
-        monkeypatch.setattr(fwm, "_CHUNK", 2 * args[0].size * n_periods)
-        whole = fwm._overlap_segment_sum(spec, *args, fwm._Work())
-        assert blocks == [(args[0].size, n_periods)]
-        assert max_rel(blocked, whole) < 1e-13
-        if n_periods < block:       # one block either way, so the same sum
-            np.testing.assert_array_equal(blocked, whole)
+        assert calls == [200, 200]
 
     @pytest.mark.filterwarnings("error")
     def test_exactly_degenerate_modes(self, band_edge, monkeypatch):
@@ -477,6 +464,50 @@ class TestBandEdge:
         value = fwm.overlap_elements(REF, *args)
         assert np.all(np.isfinite(value))
         assert max_rel(value, oracle(REF, *args)) < 1e-9
+
+
+class TestLiftedPower:
+    @pytest.fixture
+    def centre(self):
+        w_p = model.omega_from_wavelength(REF.bragg_wavelength)
+        return [w_p], [W_S], [2.0 * w_p - W_S]
+
+    def test_limit_of_the_lifted_growth(self, monkeypatch, centre):
+        # with every field lifted, the pump at the Bragg centre is the
+        # lifted state's only growing part, twice; just under the limit J
+        # holds the kernel's 1e-9, one period more is refused
+        per_period = transfer._bloch_fields(REF, centre[0], "left")["log_ratio"].real.max()
+        n = math.floor(fwm._LIFTED_GROWTH / (2.0 * per_period))
+        under, over = replace(REF, n_periods=n), replace(REF, n_periods=n + 1)
+        closed_form = fwm.overlap_elements(under, *centre)
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        assert max_rel(fwm.overlap_elements(under, *centre), closed_form) < 1e-9
+        with pytest.raises(model.OutOfDomain, match="grow by e\\^11.0 across"):
+            fwm.overlap_elements(over, *centre)
+
+    def test_random_spec_matches_the_oracle(self, monkeypatch):
+        spec = random_spec(16, 3000, 1.0)
+        args = pump_scan(spec.bragg_wavelength - 4e-9, spec.bragg_wavelength + 4e-9, 41)
+        monkeypatch.setattr(transfer, "BAND_EDGE_Q", math.inf)
+        assert transfer._bloch_fields(spec, args[0], "left")["band_edge"].all()
+        assert max_rel(fwm.overlap_elements(spec, *args), oracle(spec, *args)) < 1e-9
+
+    def test_cost_does_not_grow_with_the_period_count(self, band_edge):
+        # the lifted power holds one 13 x 13 matrix per element at any N
+        args = ([band_edge], [W_S], [2.0 * band_edge - W_S])
+
+        def peak(n):
+            spec = replace(REF, n_periods=n)
+            assert transfer._bloch_fields(spec, args[0], "left")["band_edge"].all()
+            fwm.overlap_elements(spec, *args)
+            tracemalloc.start()
+            try:
+                fwm.overlap_elements(spec, *args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(24000) < 1.3 * peak(2000)
 
 
 class TestSweepTasks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -422,6 +423,37 @@ class TestSweepResult:
         assert lines[1:] == [",".join(model._FMT.format(float(c[i]))
                                       for c in (x, *columns.values()))
                              for i in range(x.size)]
+
+    def test_csv_blocks_join_to_the_text(self, monkeypatch):
+        # 2500 rows make three blocks; y keeps one layout in the first block
+        # and changes it from row to row after, so the first block takes its
+        # slots by index and the others by mask
+        rng = np.random.default_rng(5)
+        x = np.linspace(1540.0, 1550.0, 2500)
+        y = rng.uniform(-1.0, 1.0, x.size) * 10.0 ** rng.integers(-120, 120, x.size)
+        y[:model._CSV_BLOCK] = rng.uniform(1.0, 2.0, model._CSV_BLOCK)
+        r = model.SweepResult(x_name="x", x=x, columns={"y": y, "z": x * 1e-3})
+        blocks = list(r.csv_blocks())
+        assert [b.count("\n") for b in blocks] == [model._CSV_BLOCK] * 2 + [452]
+        text = r.to_csv_text()
+        assert text == r.csv_header() + "".join(blocks)
+        monkeypatch.setattr(model, "_CSV_BLOCK", x.size)
+        assert list(r.csv_blocks()) == [text[len("x,y,z\n"):]]
+
+    def test_csv_memory_does_not_grow_with_the_rows(self):
+        # one block's cell tables and text are held at a time
+        def peak(n):
+            x = np.linspace(1540.0, 1550.0, n)
+            r = model.SweepResult(x_name="x", x=x, columns={"y": np.sin(x), "z": np.exp(-x)})
+            tracemalloc.start()
+            try:
+                for _ in r.csv_blocks():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16210) < 1.3 * peak(1621)
 
     def test_json_obj_mirrors_columns(self):
         r = model.SweepResult(x_name="x", x=np.array([1.0]),

@@ -272,35 +272,33 @@ class TestChunkedTable:
         row = rows                          # the first row of task 2
         assert rows <= row < 2 * rows <= w1.size
         clean = fwm.overlap_table(REF, w1, w2)
-        exact, segment_sum = transfer._bloch_cosine, fwm._overlap_segment_sum
+        exact, band_edge_sum = transfer._bloch_cosine, fwm._band_edge_sum
         calls = []
 
         def degenerate(spec, omegas):
             sign, q = exact(spec, omegas)
             return sign, np.where(omegas == w1[row], 0.0, q)
 
-        def recording(spec, omega_p, omega_s, omega_i, work):
-            calls.append(omega_s.copy())
-            return segment_sum(spec, omega_p, omega_s, omega_i, work)
+        def recording(spec, fp, fs, fi, work):
+            calls.append(fs["omega"].copy())
+            return band_edge_sum(spec, fp, fs, fi, work)
 
         monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
-        monkeypatch.setattr(fwm, "_overlap_segment_sum", recording)
+        monkeypatch.setattr(fwm, "_band_edge_sum", recording)
         table = fwm.overlap_table(REF, w1, w2)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.full(w2.size, w1[row]))
-        np.testing.assert_array_equal(
-            table[row], segment_sum(REF, (w1[row] + w2) / 2.0, calls[0], w2, fwm._Work()))
+        tables = fwm._field_tables(REF, (w1[row] + w2) / 2.0, calls[0], w2)
+        np.testing.assert_array_equal(table[row], band_edge_sum(REF, *tables, fwm._Work()))
         np.testing.assert_allclose(table[row], clean[row], rtol=1e-9, atol=0.0)
         others = np.arange(w1.size) != row
         np.testing.assert_array_equal(table[others], clean[others])
 
     def test_band_edge_row_memory(self, monkeypatch):
-        # the band-edge path takes its elements one at a time, their periods
-        # and recursion in blocks, into the work arrays of the task, so a
-        # 201^2 table with one band-edge row peaks at 3.64 MB under
-        # tracemalloc, 0.46 MB above the table without it (254 MB when the
-        # row was summed over every segment at once, 5.48 MB with the
-        # periods unblocked)
+        # the band-edge path holds a few small matrices per element, whatever
+        # the period count, and writes its weight into the work arrays of the
+        # task, so a 201^2 table with one band-edge row peaks at 4.22 MB
+        # under tracemalloc, 1.04 MB above the table without it
         w1, w2 = exact_grids(201, 201)
         row = task_rows(w2.size)
         exact = transfer._bloch_cosine

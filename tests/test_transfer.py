@@ -403,23 +403,6 @@ def test_segment_amplitudes_match_the_segment_loop(spec, omegas, side):
         assert np.max(np.abs(got - want) / scale) < 1e-12
 
 
-@pytest.mark.parametrize("n_periods", [2000, 700, 240, 6])
-@pytest.mark.parametrize("block", [1, 4, 512, 4096])
-def test_period_amplitudes_do_not_depend_on_the_block(n_periods, block):
-    # a later block of states is the first one times the doubling's powers
-    # of its offset's bits, lowest first, so every block size gives the
-    # periods' amplitudes of _segment_amplitudes bit for bit
-    spec = replace(SMALL, n_periods=n_periods)
-    omegas = model.omega_from_wavelength(np.array([1541.0e-9, 1546.3e-9, 1550.0e-9]))
-    for side in ("left", "right"):
-        _, _, _, a, b = transfer._segment_amplitudes(spec, omegas, side)
-        blocks = list(transfer._period_amplitudes(spec, omegas, side, block))
-        assert len(blocks) == -(-n_periods // max(1, min(block, n_periods)))
-        amps = np.concatenate(blocks)               # (period, segment, frequency, fwd/bwd)
-        whole = np.stack([a, b], axis=-1)[1:1 + 2 * n_periods]     # past the lead-in
-        np.testing.assert_array_equal(amps.reshape(whole.shape), whole)
-
-
 def test_segment_amplitudes_reject_an_unknown_side():
     with pytest.raises(model.InvalidArgument, match="side"):
         transfer._segment_amplitudes(SMALL, [1.2e15], "up")
