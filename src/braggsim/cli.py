@@ -484,18 +484,16 @@ _JSD_BLOCK = 16  # signal rows per block of JSD CSV text; bounds the temporaries
 def _jsd_csv(state):
     """The rows of the JSD CSV below _JSD_CSV_HEADER, ascending in wavelength
     on both axes (the grids ascend in frequency), as one block of text per
-    _JSD_BLOCK signal wavelengths; each wavelength is formatted once."""
-    import numpy as np
-
+    _JSD_BLOCK signal wavelengths. Each wavelength is formatted once: a
+    block's signal cells, (rows, 1), and the idler cells, (1, n), broadcast
+    against its JSD cells, (rows, n)."""
     from .model import _csv_rows, _format_cells
-    lam1 = _format_cells(state.signal_grid.wavelengths[::-1] * 1e9)
-    lam2 = _format_cells(state.idler_grid.wavelengths[::-1] * 1e9)
+    lam1 = _format_cells(state.signal_grid.wavelengths[::-1, None] * 1e9)
+    lam2 = _format_cells(state.idler_grid.wavelengths[None, ::-1] * 1e9)
     jsd = state.jsd[::-1, ::-1]
     for start in range(0, lam1.shape[0], _JSD_BLOCK):
-        rows = lam1[start:start + _JSD_BLOCK]
-        yield _csv_rows([np.repeat(rows, lam2.shape[0], axis=0),
-                         np.tile(lam2, (rows.shape[0], 1)),
-                         _format_cells(jsd[start:start + _JSD_BLOCK])])
+        stop = start + _JSD_BLOCK
+        yield _csv_rows([lam1[start:stop], lam2, _format_cells(jsd[start:stop])])
 
 
 def _jsd_header(state, report) -> dict:

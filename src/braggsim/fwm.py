@@ -538,8 +538,8 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     """
     y = sweep.column(column)
     if not np.any(y):
-        raise InvalidArgument(f"{column} is zero (zero gamma or pump power); "
-                              "dip contrast undefined")
+        raise InvalidArgument(f"{column} is zero (zero gamma, pump power or signal "
+                              "power); dip contrast undefined")
     x = sweep.x
     imin = int(np.argmin(y))
     off = np.abs(x - x[imin]) > exclude_halfwidth

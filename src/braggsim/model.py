@@ -424,26 +424,22 @@ _CSV_BLOCK = 1024  # rows per block of SweepResult.csv_blocks
 # (non-finite text is left-aligned instead)
 _CELL = 16
 _DIGIT_SLOTS = (10, 9, 8, 7, 6, 5, 4, 3, 1)  # mantissa digits, last first
-# used slots by layout code: 1 for a minus sign, 2 for a 3-digit exponent
-_SLOTS = [np.array([s for s in range(_CELL)
-                    if (s != 0 or code & 1) and (s != 13 or code & 2)])
-          for code in range(4)]
-_SLOTS_ALL = np.arange(_CELL)
 _POW10 = np.array([10.0 ** p for p in range(301)])
 # a scaled value closer than this to a rounding tie is formatted by _FMT
 _TIE_MARGIN = 1e-4
 
 
 def _format_cells(values) -> np.ndarray:
-    """The _FMT text of each value as one row of an (n, 16) uint8 table of
-    cells, byte for byte equal to _FMT.format.
+    """The _FMT text of each value as a cell of 16 uint8 bytes, byte for
+    byte equal to _FMT.format: a table of the values' shape plus an axis of 16.
 
     Each value is split into sign, exponent e = floor(log10|x|) and the
     9-digit mantissa m = rint(|x| 10^(8 - e)), the scale capped at 10^300.
     The scaled value is good to a few units of 1e-7, so m is exact unless
-    it lies within _TIE_MARGIN of a rounding tie. Such values, values whose
-    scaled value is not in [1e8, 1e9) (subnormals among them) and non-finite
-    values are formatted by _FMT.format instead."""
+    it lies within _TIE_MARGIN of a rounding tie. Such values, non-finite
+    values and values whose m is not in [1e8, 1e9) (subnormals, 9.99999999951
+    whose m rounds up to 1e9) are formatted by _FMT.format instead."""
+    shape = np.shape(values)
     x = np.asarray(values, dtype=float).ravel()
     a = np.abs(x)
     nonzero = np.isfinite(x) & (a != 0.0)
@@ -455,12 +451,9 @@ def _format_cells(values) -> np.ndarray:
     np.multiply(a, scale, out=y, where=nonzero & (k >= 0))
     np.divide(a, scale, out=y, where=nonzero & (k < 0))
     m = np.rint(y)
-    slow = ~np.isfinite(x) | (nonzero & ((y < 1e8) | (y >= 1e9)
+    slow = ~np.isfinite(x) | (nonzero & ((y < 1e8) | (m >= 1e9)
                                          | (np.abs(y - np.floor(y) - 0.5) < _TIE_MARGIN)))
     m[slow] = 0
-    carry = m == 1e9                # 9.9999999995 rounds to 1.00000000e+01
-    m[carry] = 1e8
-    e += carry
     m = m.astype(np.int32)
     non_finite = {}
     for i in np.flatnonzero(slow).tolist():
@@ -487,27 +480,21 @@ def _format_cells(values) -> np.ndarray:
     for i, text in non_finite.items():
         cells[i] = 0
         cells[i, :len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return cells
+    return cells.reshape(*shape, _CELL)
 
 
 def _csv_rows(columns) -> str:
-    """CSV rows from equal-length cell tables (_format_cells), one table per
-    column: row i joins cell i of each column with commas and ends with a
-    newline. When every cell of each column uses the same slots, the slots
-    are taken by index; otherwise the unused (zero) bytes are dropped by mask."""
-    n = columns[0].shape[0]
-    codes = [(c[:, 0] != 0) + 2 * (c[:, 13] != 0) + 4 * (c[:, 11] != ord("e"))
-             for c in columns]
-    uniform = n > 0 and all(code[0] < 4 and np.all(code == code[0]) for code in codes)
-    slots = [_SLOTS[code[0]] if uniform else _SLOTS_ALL for code in codes]
-    out = np.empty((n, sum(s.size + 1 for s in slots)), dtype=np.uint8)
-    at = 0
-    for c, s in zip(columns, slots):
-        out[:, at:at + s.size] = c[:, s]
-        out[:, at + s.size] = ord(",")
-        at += s.size + 1
-    out[:, -1] = ord("\n")
-    return (out if uniform else out[out != 0]).tobytes().decode("ascii")
+    """CSV rows from cell tables (_format_cells), one table per column, whose
+    leading axes broadcast to the rows' shape: each row, in C order, joins
+    its cell of each column with commas and ends with a newline. The unused
+    (zero) bytes of every cell are then deleted from the text."""
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    out = np.empty((*shape, len(columns), _CELL + 1), dtype=np.uint8)
+    for j, c in enumerate(columns):
+        out[..., j, :_CELL] = c
+    out[..., -1] = ord(",")
+    out[..., -1, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -547,7 +534,6 @@ class SweepResult:
         return self.csv_header() + "".join(self.csv_blocks())
 
     def to_json_obj(self) -> dict:
-        out = {self.x_name: [_FMT.format(v) for v in self.x]}
-        for name, vals in self.columns.items():
-            out[name] = [_FMT.format(v) for v in vals]
-        return out
+        """Each array's _FMT strings by name, split from its CSV rows."""
+        return {name: _csv_rows([_format_cells(v)]).split()
+                for name, v in ((self.x_name, self.x), *self.columns.items())}

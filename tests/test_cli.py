@@ -361,7 +361,7 @@ def test_contrast_sweep_zero_pair_rate_is_domain_error(tmp_path, capsys, subcomm
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("subcommand", ["stim-sweep", "report"])
-@pytest.mark.parametrize("key", ["gamma_per_w_m", "pump_power_mw"])
+@pytest.mark.parametrize("key", ["gamma_per_w_m", "pump_power_mw", "signal_power_mw"])
 def test_stim_sweep_zero_idler_rate_is_domain_error(tmp_path, capsys, subcommand, key):
     # no stimulated idler makes the swept rate zero everywhere: the message
     # names the column and the cause, as contrast-sweep's does for a zero pair rate
@@ -372,8 +372,8 @@ def test_stim_sweep_zero_idler_rate_is_domain_error(tmp_path, capsys, subcommand
     assert run(subcommand, "--config", str(reference_variant(tmp_path, edit)),
                "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err == ("domain error: idler_rate_per_s_per_mw2 is zero (zero gamma or pump "
-                   "power); dip contrast undefined\n")
+    assert err == ("domain error: idler_rate_per_s_per_mw2 is zero (zero gamma, pump "
+                   "power or signal power); dip contrast undefined\n")
     assert not out.exists()
 
 
@@ -818,6 +818,24 @@ def test_benchmark_expected_outputs_match_the_runners(monkeypatch, subcommand, r
     expected_rows, expected_docs = workloads.expected_outputs(subcommand, raw, points)
     assert rows == expected_rows
     assert docs == sorted(expected_docs)
+
+
+def test_names_the_tracer_binds_resolve(monkeypatch):
+    # perfbench/traced.py wraps each of its targets and calls
+    # cli._apply_thread_env; a name deleted or renamed here would otherwise
+    # fail only the benchmark's traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    import importlib
+    from perfbench import traced
+    missing = []
+    for _, module, attr, _, _ in traced.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+    assert callable(getattr(cli, "_apply_thread_env", None))
 
 
 def test_readme_output_schemas_name_every_report_file():

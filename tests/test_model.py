@@ -365,6 +365,8 @@ _TIES = _ties()
 _rng = np.random.default_rng(17)
 _FORMAT_EDGES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 9.9999999995,
+    # mantissas that round up to the next decade
+    9.99999999951, 99999999.96, -9.9999999996e-300, 9.9999999999e99, 9.99999999951e-101,
     *_POWERS, *np.nextafter(_POWERS, 0.0), *np.nextafter(_POWERS, np.inf),
     *_TIES, *np.nextafter(_TIES, 0.0), *np.nextafter(_TIES, np.inf),
     # the doubles nearest to decimal ties, at every scale: without the tie
@@ -395,9 +397,45 @@ def test_format_cells_equals_fmt_on_edges():
     values = np.concatenate([_FORMAT_EDGES, np.negative(_FORMAT_EDGES),
                              [np.nan, -np.nan, np.inf, -np.inf]]).tolist()
     assert _formatted_lines(values) == [model._FMT.format(v) for v in values]
-    # one value per table: every table takes its slots by index
+    # one value per table: each cell is written with no other row beside it
     for v in values[::25]:
         assert _formatted_lines([v]) == [model._FMT.format(v)]
+    r = model.SweepResult(x_name="x", x=np.array(values))
+    assert r.to_json_obj() == {"x": [model._FMT.format(v) for v in values]}
+
+
+# cells of every layout in one column: signs, +-0, 2- and 3-digit exponents,
+# a subnormal and non-finite values
+_MIXED = [1.5, -2e-5, -0.0, 0.0, 3e300, -1e-120, 5e-324, np.nan, np.inf, -np.inf,
+          9.99999999951, -7.0]
+
+
+def test_csv_rows_of_broadcast_tables_equal_fmt():
+    rng = np.random.default_rng(3)
+    rows = np.array(_MIXED)
+    cols = rng.permutation(np.array(_MIXED + [2.5, -1e-200]))
+    table = rng.permutation(np.resize(_MIXED, (rows.size, cols.size)).ravel())
+    table = table.reshape(rows.size, cols.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = model._csv_rows([model._format_cells(rows[:, None]),
+                                model._format_cells(cols[None, :]),
+                                model._format_cells(table)])
+    assert text == "".join(",".join(model._FMT.format(float(v))
+                                    for v in (rows[a], cols[b], table[a, b])) + "\n"
+                           for a in range(rows.size) for b in range(cols.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from(_FORMAT_EDGES), min_size=1, max_size=40))
+def test_json_obj_equals_fmt(values):
+    r = model.SweepResult(x_name="x", x=np.array(values), columns={"y": np.negative(values)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obj = r.to_json_obj()
+    assert obj == {"x": [model._FMT.format(v) for v in r.x],
+                   "y": [model._FMT.format(v) for v in r.column("y")]}
 
 
 class TestSweepResult:
@@ -426,8 +464,7 @@ class TestSweepResult:
 
     def test_csv_blocks_join_to_the_text(self, monkeypatch):
         # 2500 rows make three blocks; y keeps one layout in the first block
-        # and changes it from row to row after, so the first block takes its
-        # slots by index and the others by mask
+        # and changes it from row to row after
         rng = np.random.default_rng(5)
         x = np.linspace(1540.0, 1550.0, 2500)
         y = rng.uniform(-1.0, 1.0, x.size) * 10.0 ** rng.integers(-120, 120, x.size)
