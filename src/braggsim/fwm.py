@@ -29,11 +29,12 @@ from .model import (
     NonlinearParams,
     OutOfDomain,
     SweepResult,
+    _require_uniform,
     omega_from_wavelength,
     wavelength_from_omega,
 )
-from .transfer import (_CHUNK, WAVELENGTH_DOMAIN, _bloch_fields, _check_domain,
-                       _facet_states, _mat_power, _mul, _period_maps, _period_segments)
+from .transfer import (_CHUNK, WAVELENGTH_DOMAIN, _bloch_fields, _check_domain, _mat_power,
+                       _mul, _period_segments)
 
 __all__ = [
     "WAVELENGTH_DOMAIN",
@@ -66,10 +67,10 @@ def _wrap_phase(x):
 
 
 class _Work:
-    """The work arrays that every task of one kernel call (its band-edge
-    elements too) writes its large temporaries into, so that a call
-    allocates them once: glibc hands freed arrays of this size back to the
-    OS, and the next task would fault them in again."""
+    """The work arrays that every task of one kernel call writes its large
+    temporaries into, so that a call allocates them once: glibc hands freed
+    arrays of this size back to the OS, and the next task would fault them
+    in again."""
 
     def __init__(self):
         self._arrays = {}
@@ -123,9 +124,9 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -
     the num[0] factors less that of num[1], over R - 1. Where |R - 1| < 1/N,
     where that would cancel, it is taken from the wrapped log of R. Elements
     with a field at a band edge, where its two modes coincide, take the sum
-    over the periods from _band_edge_sum instead, a matrix power whose cost
-    does not grow with N either. The leads, single uniform segments, are
-    then added to every element from the exact facet states.
+    over the periods from _band_edge_sum instead, handed their per-period
+    weights: a matrix power whose cost does not grow with N either. The
+    leads, single uniform segments, are then added from the facet states.
     """
     def combine(into, name, index=slice(None)):
         pair = work.product("pair", fp[name][index][:, None, None],
@@ -156,7 +157,7 @@ def _bloch_chunk(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -
     edge = fp["band_edge"] | fs["band_edge"] | fi["band_edge"]
     if np.any(edge):
         total[edge] = _band_edge_sum(spec, *({name: v[..., edge] for name, v in f.items()}
-                                             for f in (fp, fs, fi)), work)
+                                             for f in (fp, fs, fi)), weight[..., edge])
     for lead in ("lead_in", "lead_out"):     # present for a lead with a length; one mode
         if lead in fp:
             total += _wave_sum(fp, fs, fi, lead, work)[0, 0, 0]
@@ -215,18 +216,20 @@ def _wave_integrals(fp: dict, fs: dict, fi: dict, part: str, work: _Work) -> np.
 _LIFTED_GROWTH = 11.0
 
 
-def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work) -> np.ndarray:
-    """The periods' share of J from the factor tables of _field_factors at
-    band-edge elements (1-D), with _wave_sum's stages in `work`.
+def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict,
+                   weight: np.ndarray) -> np.ndarray:
+    """The periods' share of J at band-edge elements (1-D) from the factor
+    tables of _field_factors and the per-period weight of _wave_sum that
+    _bloch_chunk formed from them.
 
-    A field flagged band_edge is lifted: it enters period m in the state
-    F^m e (F the `fwd` map of _period_maps, e the entry state of
-    _facet_states), conjugated for the signal, as its symmetric square (the
-    pairs of _pairs) for the pump. The others stay in their Bloch modes,
-    whose maps are diagonal, so no growing mode of theirs is squared. The
-    product state moves by the Kronecker product T of the three maps, and
-    with w from _wave_sum (_fold handed the basis states) the sum is
-    w . sum_{m<N} T^m y_0, the last column of [[T, y_0], [0, 1]]^N by
+    A field flagged band_edge is lifted: its tables hold the two basis
+    states in place of its Bloch modes (see _bloch_fields), and it enters
+    period m in the state F^m e (F its `fwd` map, e its `entry` state),
+    conjugated for the signal, as its symmetric square (the pairs of
+    _pairs) for the pump. The others stay in their Bloch modes, whose maps
+    are diagonal, so no growing mode of theirs is squared. The product state
+    moves by the Kronecker product T of the three maps, and the sum is
+    weight . sum_{m<N} T^m y_0, the last column of [[T, y_0], [0, 1]]^N by
     squaring (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
     """
     n = len(fp["omega"])
@@ -235,16 +238,9 @@ def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work)
     if growth > _LIFTED_GROWTH:
         raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
                           f"sum: its lifted fields grow by e^{growth:.1f} across it")
-    omegas = np.concatenate([f["omega"] for f in (fp, fs, fi)])
-    into_lo, lo_to_hi, fwds = _period_maps(spec, omegas)
-    _, entries, _ = _facet_states(spec, omegas, np.repeat([False, False, True], n))
-    bases = np.moveaxis(np.stack([into_lo, _mul(lo_to_hi, into_lo)]), (-1, 0, -2), (0, 1, 2))
-    tables, maps, starts = [], [], []
-    for k, (f, role) in enumerate(zip((fp, fs, fi), ("pump", "signal", "idler"))):
-        lift, part = f["band_edge"], slice(k * n, (k + 1) * n)
-        fwd, entry = fwds[part], entries[part]
-        basis = _fold(spec, role, f["omega"], bases[..., part])["period"]
-        tables.append(dict(f, period=np.where(lift, basis, f["period"])))
+    maps, starts = [], []
+    for f, role in zip((fp, fs, fi), ("pump", "signal", "idler")):
+        lift, fwd, entry = f["band_edge"], np.moveaxis(f["fwd"], -1, 0), f["entry"].T
         if role == "pump":
             pairs = _pairs(2)
             fwd = np.stack([np.stack([(fwd[:, a, c] * fwd[:, b, d] + fwd[:, a, d] * fwd[:, b, c])
@@ -259,8 +255,7 @@ def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict, work: _Work)
     yp, ys, yi = starts
     lifted = (*maps, yp[:, :, None, None] * ys[:, None, :, None] * yi[:, None, None, :])
     states = _mat_power(lifted, spec.n_periods, _lifted_product)[3]
-    weight = _wave_sum(*tables, "period", work).reshape(12, n).T[:, None]
-    return _mul(weight, states.reshape(n, 12, 1))[:, 0, 0]
+    return _mul(weight.reshape(12, n).T[:, None], states.reshape(n, 12, 1))[:, 0, 0]
 
 
 def _lifted_product(a, b):
@@ -293,7 +288,9 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
     for lo in range(0, size, step):
         ws = [w if w.size == 1 else w[lo:lo + step] for w in omegas]
         n = max(w.size for w in ws)
-        tables = tuple({name: np.broadcast_to(v, v.shape[:-1] + (n,)) for name, v in t.items()}
+        # a field of one frequency (the sweep's signal) is viewed along the task
+        tables = tuple(t if t["omega"].size == n else
+                       {name: np.broadcast_to(v, v.shape[:-1] + (n,)) for name, v in t.items()}
                        for t in _field_tables(spec, *ws))
         out[lo:lo + step] = _bloch_overlap(spec, tables)
     return out
@@ -351,7 +348,7 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
                      numerator of a combination's geometric series is the
                      product of num[0] less that of num[1]
-    - omega, band_edge:  for _band_edge_sum
+    - omega, band_edge, fwd, entry:  as _bloch_fields gives them
 
     Mode axes come first; for the pump they run over the mode pairs of
     _pairs. The signal's factors are conjugated, as J reads it.
@@ -368,19 +365,19 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
         num = np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1)
     elif role == "signal":
         ratio, lr, num = np.conj(ratio), np.conj(lr), np.conj(num)
-    table = {"omega": field["omega"], "band_edge": field["band_edge"],
-             "ratio": ratio, "log_ratio": lr, "num": num}
+    table = {name: field[name] for name in ("omega", "band_edge", "fwd", "entry")}
+    table.update(ratio=ratio, log_ratio=lr, num=num)
     table.update(_fold(spec, role, field["omega"], field["period"],
                        field["lead_in"], field["lead_out"]))
     # contiguous, so that the kernel's inner loops run along frequency
     return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
 
-def _fold(spec: GratingSpec, role: str, omega, period, lead_in=None, lead_out=None) -> dict:
+def _fold(spec: GratingSpec, role: str, omega, period, lead_in, lead_out) -> dict:
     """The tables of one field that _wave_sum reads, from its frequencies
     omega (elements), the amplitudes `period` (mode, segment, fwd/bwd,
     elements) at each segment's left edge and the lead states (fwd/bwd,
-    elements), if given:
+    elements):
 
     - period:        (mode, segment, wave, elements)  the amplitude of each
                      plane wave of _WAVES; the pump's are those of each mode
@@ -389,14 +386,14 @@ def _fold(spec: GratingSpec, role: str, omega, period, lead_in=None, lead_out=No
     - period_angle:  (segment, wave, elements)  each wave's wavenumber times
                      half the segment length, and period_turn its exp(i angle)
     - lead_in, lead_out (with _angle, _turn): the same for the field in that
-                     lead, one segment of one mode; present only if its state
-                     is given and the lead has a length
+                     lead, one segment of one mode; present only if the lead
+                     has a length
     """
     k, lengths = _period_segments(spec, omega)
     parts = {"period": (np.array(lengths), np.stack(k), period)}
     for name, length, state in (("lead_in", spec.lead_in_length, lead_in),
                                 ("lead_out", spec.lead_out_length, lead_out)):
-        if state is not None and length > 0:
+        if length > 0:
             parts[name] = (np.array([length]), k[1][None], state[None, None])
     table = {}
     for name, (lengths, k, amps) in parts.items():
@@ -416,13 +413,14 @@ def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
     """J evaluated on the product grid with both pump photons at the
     energy-conserving midpoint (w1 + w2)/2.
 
-    The two grids must share their spacing: the midpoints then live on a
-    single uniform grid of 2n-1 frequencies, so the factors of the structure
-    fields are formed once per distinct frequency and viewed onto the grid
-    without a copy: element (r, c) reads the pump at midpoint r + c.
+    The two grids must be uniform, as FrequencyGrid's are, and share their
+    spacing: the midpoints then live on a single uniform grid of 2n-1
+    frequencies, so the factors of the structure fields are formed once per
+    distinct frequency and viewed onto the grid without a copy: element
+    (r, c) reads the pump at midpoint r + c.
     """
-    d1 = w1[1] - w1[0]
-    d2 = w2[1] - w2[0]
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    d1, d2 = _require_uniform(w1), _require_uniform(w2)
     if abs(d1 - d2) > 1e-9 * abs(d1):
         raise InvalidArgument("signal and idler grids must share their spacing")
     n1, n2 = w1.size, w2.size

@@ -90,15 +90,12 @@ class FrequencyGrid:
     def __post_init__(self):
         pts = _readonly(self.points)
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
-            raise InvalidArgument("grid needs at least 2 points")
-        d = np.diff(pts)
-        if np.any(d <= 0):
+        _require_finite(self)
+        if not np.all(np.isfinite(pts)):
+            raise InvalidArgument("grid points must be finite numbers")
+        _require_uniform(pts, self.spacing)
+        if np.any(np.diff(pts) <= 0):
             raise InvalidArgument("grid points must be strictly increasing")
-        # tolerance covers float granularity of absolute frequencies ~1e15
-        tol = max(1e-9 * abs(self.spacing), 8.0 * np.finfo(float).eps * float(np.max(np.abs(pts))))
-        if np.max(np.abs(d - self.spacing)) > tol:
-            raise InvalidArgument("grid spacing is not uniform to 1e-9")
 
     @property
     def n_points(self) -> int:
@@ -108,6 +105,21 @@ class FrequencyGrid:
     def wavelengths(self) -> np.ndarray:
         """Vacuum wavelengths (m), decreasing along the grid."""
         return wavelength_from_omega(self.points)
+
+
+def _require_uniform(points: np.ndarray, spacing: float | None = None) -> float:
+    """The spacing of a 1-D grid of at least 2 points whose every step equals
+    `spacing` (by default its first step) within 1e-9 of it or the float
+    granularity of the points; InvalidArgument for any other grid."""
+    if points.ndim != 1 or points.size < 2:
+        raise InvalidArgument("grid needs at least 2 points")
+    if spacing is None:
+        spacing = float(points[1] - points[0])
+    # tolerance covers float granularity of absolute frequencies ~1e15
+    tol = max(1e-9 * abs(spacing), 8.0 * np.finfo(float).eps * float(np.max(np.abs(points))))
+    if np.max(np.abs(np.diff(points) - spacing)) > tol:
+        raise InvalidArgument("grid spacing is not uniform to 1e-9")
+    return spacing
 
 
 def make_wavelength_grid(center: float, span: float, n_points: int) -> FrequencyGrid:

@@ -381,7 +381,10 @@ def _bloch_fields(spec: GratingSpec, omegas, side) -> dict:
                                   left edge of each segment of a period
     - lead_in:    (2, ...)        amplitudes at z = 0 (start of the lead-in)
     - lead_out:   (2, ...)        amplitudes at the grating's right end
-    - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable
+    - fwd:        (2, 2, ...)     the forward map of one period (_period_maps)
+    - entry:      (2, ...)        the state entering the grating
+    - band_edge:  (...)           |q| < BAND_EDGE_Q: the modes are unusable, and
+                                  the identity stands for them, with coef 1
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     into_lo, lo_to_hi, fwd = _period_maps(spec, omegas)
@@ -404,20 +407,20 @@ def _bloch_fields(spec: GratingSpec, omegas, side) -> dict:
     modes[..., 1, 0] = np.where(first, plus, f10)
     modes[..., 0, 1] = np.where(first, -plus, f01)
     modes[..., 1, 1] = np.where(first, f10, minus)
+    band_edge = np.abs(q) < BAND_EDGE_Q
+    modes[band_edge] = np.eye(2)
     lo = _mul(into_lo, modes)
     segments = np.stack([lo, _mul(lo_to_hi, lo)])           # (seg, ..., fwd/bwd, mode)
 
     start, entry, exit_ = _facet_states(spec, omegas, side)
 
-    band_edge = np.abs(q) < BAND_EDGE_Q
     det = modes[..., 0, 0] * modes[..., 1, 1] - modes[..., 1, 0] * modes[..., 0, 1]
-    det = np.where(band_edge, 1.0, det)
-    coef = np.stack([
-        (exit_[..., 0] * modes[..., 1, 1] - exit_[..., 1] * modes[..., 0, 1]) / det,
-        (modes[..., 0, 0] * entry[..., 1] - modes[..., 1, 0] * entry[..., 0]) / det,
-    ])
+    coef = np.where(band_edge, 1.0, np.stack([
+        exit_[..., 0] * modes[..., 1, 1] - exit_[..., 1] * modes[..., 0, 1],
+        modes[..., 0, 0] * entry[..., 1] - modes[..., 1, 0] * entry[..., 0]]) / det)
     return {"omega": omegas,
             "log_ratio": np.stack([log_sign + kappa, log_sign - kappa]),
             "period": coef[:, None, None] * np.moveaxis(segments, (-1, 0, -2), (0, 1, 2)),
             "lead_in": np.moveaxis(start, -1, 0), "lead_out": np.moveaxis(exit_, -1, 0),
+            "fwd": np.moveaxis(fwd, (-2, -1), (0, 1)), "entry": np.moveaxis(entry, -1, 0),
             "band_edge": band_edge}

@@ -56,6 +56,20 @@ def test_frequency_grid_rejects_descending_points():
         model.FrequencyGrid(points=pts, spacing=float(pts[1] - pts[0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: model.FrequencyGrid(points=np.array([1.0, 2.0, 3.0]), spacing=math.nan),
+    lambda: model.FrequencyGrid(points=np.array([1.0, 2.0, math.inf]), spacing=1.0),
+    lambda: model.grid_around_omega(1e15, math.nan, 5),
+    lambda: model.make_wavelength_grid(1550e-9, math.nan, 5),
+    lambda: model.grid_around_omega(math.nan, 1e9, 5),
+], ids=["nan-spacing", "inf-point", "nan-width", "nan-span", "nan-centre"])
+def test_frequency_grid_rejects_non_finite_input(make):
+    # every comparison with NaN is False, so the range and uniformity
+    # guards alone would pass these grids
+    with pytest.raises(model.InvalidArgument, match="finite"):
+        make()
+
+
 def test_frequency_grid_accepts_linspace_at_optical_scale():
     # ulp-level jitter of linspace must stay under the uniformity tolerance
     pts = np.linspace(1.205e15, 1.225e15, 4001)
