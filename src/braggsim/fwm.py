@@ -90,26 +90,21 @@ class _Work:
         return np.multiply(x, y, out=self.like(name, x, y))
 
 
-def _bloch_overlap(spec: GratingSpec, tables) -> np.ndarray:
-    """J from the (pump, signal, idler) factor tables `tables` of
-    _field_factors, whose trailing (frequency) shapes are each the result's
-    shape; a product grid passes views (broadcast or windowed), so it needs
-    no copy of its own size.
+def _bloch_overlap(spec: GratingSpec, shape: tuple, rows: int, tables_of) -> np.ndarray:
+    """J on a grid of frequency shape `shape`, the kernel's one task loop.
 
-    The rows along the first frequency axis are taken in tasks of _CHUNK
-    elements (at least one row), one after another on the calling thread,
-    all writing into one _Work; each task takes views of its rows and writes
-    only those rows of the result.
+    The grid's rows (its first axis) are taken in tasks of `rows`, one after
+    another on the calling thread, all writing into one _Work. A task's
+    (pump, signal, idler) factor tables are those of _field_factors that
+    tables_of(rows) returns for its slice of rows: a sweep solves them task
+    by task, a product grid views tables solved once (broadcast or windowed)
+    without a copy of its own size. Each task writes only its rows of the
+    result.
     """
-    shape = tables[0]["omega"].shape
     out = np.empty(shape, dtype=complex)
-    rows = max(1, _CHUNK // math.prod(shape[1:]))
-    rest = (slice(None),) * (len(shape) - 1)
     work = _Work()
     for lo in range(0, shape[0], rows):
-        part = (Ellipsis, slice(lo, lo + rows)) + rest
-        out[part] = _bloch_chunk(spec, *({name: v[part] for name, v in table.items()}
-                                         for table in tables), work)
+        out[lo:lo + rows] = _bloch_chunk(spec, *tables_of(slice(lo, lo + rows)), work)
     return out
 
 
@@ -274,26 +269,26 @@ def overlap_elements(spec: GratingSpec, omega_p, omega_s, omega_i) -> np.ndarray
     The three fields are solved as Bloch modes of the grating, and the
     z-integral is summed over the periods in closed form (by a matrix power
     at a band edge), so the cost does not grow with the period count. The
-    elements are taken in tasks of _CHUNK // 4, each of which solves the
-    fields of its own frequencies (a single frequency is solved in every
-    task), so the memory does not grow with the sweep's length.
+    elements are taken by _bloch_overlap in tasks of _CHUNK // 4, each of
+    which solves the fields of its own frequencies (a single frequency is
+    solved in every task and broadcast along it), so the memory does not
+    grow with the sweep's length.
     """
     omegas = [np.atleast_1d(np.asarray(w, dtype=float)) for w in (omega_p, omega_s, omega_i)]
     try:
         (size,) = np.broadcast_shapes(*(w.shape for w in omegas))
     except ValueError:
         raise InvalidArgument("frequency arrays must be 1-D and broadcast to one length") from None
-    out = np.empty(size, dtype=complex)
-    step = _CHUNK // 4
-    for lo in range(0, size, step):
-        ws = [w if w.size == 1 else w[lo:lo + step] for w in omegas]
+
+    def tables_of(rows):
+        ws = [w if w.size == 1 else w[rows] for w in omegas]
         n = max(w.size for w in ws)
         # a field of one frequency (the sweep's signal) is viewed along the task
-        tables = tuple(t if t["omega"].size == n else
-                       {name: np.broadcast_to(v, v.shape[:-1] + (n,)) for name, v in t.items()}
-                       for t in _field_tables(spec, *ws))
-        out[lo:lo + step] = _bloch_overlap(spec, tables)
-    return out
+        return tuple(t if t["omega"].size == n else
+                     {name: np.broadcast_to(v, v.shape[:-1] + (n,)) for name, v in t.items()}
+                     for t in _field_tables(spec, *ws))
+
+    return _bloch_overlap(spec, (size,), _CHUNK // 4, tables_of)
 
 
 def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
@@ -340,73 +335,57 @@ def _power(log_ratio, n: int):
 
 
 def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
-    """The per-frequency factors of one field ('pump', 'signal' or 'idler')
-    of _bloch_fields that _bloch_chunk reads, with the frequency axis last:
-    the tables of _fold, and
+    """The per-frequency factor tables of one field ('pump', 'signal' or
+    'idler') of _bloch_fields that _bloch_chunk reads, with the frequency
+    axis last:
 
     - ratio, log_ratio:  (mode,)  per-period eigenvalue, and its log
     - num:           (2, mode)  (1, ratio[1]**N) and (ratio[0]**-N, 1): the
                      numerator of a combination's geometric series is the
                      product of num[0] less that of num[1]
+    - period:        (mode, segment, wave)  the amplitude at each segment's
+                     left edge of each plane wave of _WAVES; the pump's carry
+                     the segment length
+    - period_angle:  (segment, wave)  each wave's wavenumber times half the
+                     segment length, and period_turn its exp(i angle)
+    - lead_in, lead_out (with _angle, _turn): the same for the field in that
+                     lead, one segment of one mode; present only if the lead
+                     has a length
     - omega, band_edge, fwd, entry:  as _bloch_fields gives them
 
     Mode axes come first; for the pump they run over the mode pairs of
-    _pairs. The signal's factors are conjugated, as J reads it.
+    _pairs. The signal's ratios, numerators and amplitudes are conjugated,
+    as J reads it.
     """
     n = spec.n_periods
     lr = field["log_ratio"]
     ratio = np.exp(lr)
     one = np.ones_like(ratio[0])
     num = np.array([[one, _power(lr[1], n)], [_power(-lr[0], n), one]])
-    if role == "pump":
-        pairs = _pairs(2)
-        ratio = np.stack([ratio[a] * ratio[b] for a, b, _ in pairs])
-        lr = np.stack([lr[a] + lr[b] for a, b, _ in pairs])
-        num = np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1)
-    elif role == "signal":
-        ratio, lr, num = np.conj(ratio), np.conj(lr), np.conj(num)
-    table = {name: field[name] for name in ("omega", "band_edge", "fwd", "entry")}
-    table.update(ratio=ratio, log_ratio=lr, num=num)
-    table.update(_fold(spec, role, field["omega"], field["period"],
-                       field["lead_in"], field["lead_out"]))
-    # contiguous, so that the kernel's inner loops run along frequency
-    return {name: np.ascontiguousarray(v) for name, v in table.items()}
-
-
-def _fold(spec: GratingSpec, role: str, omega, period, lead_in, lead_out) -> dict:
-    """The tables of one field that _wave_sum reads, from its frequencies
-    omega (elements), the amplitudes `period` (mode, segment, fwd/bwd,
-    elements) at each segment's left edge and the lead states (fwd/bwd,
-    elements):
-
-    - period:        (mode, segment, wave, elements)  the amplitude of each
-                     plane wave of _WAVES; the pump's are those of each mode
-                     pair of _pairs times the segment length, the signal's
-                     are conjugated
-    - period_angle:  (segment, wave, elements)  each wave's wavenumber times
-                     half the segment length, and period_turn its exp(i angle)
-    - lead_in, lead_out (with _angle, _turn): the same for the field in that
-                     lead, one segment of one mode; present only if the lead
-                     has a length
-    """
-    k, lengths = _period_segments(spec, omega)
-    parts = {"period": (np.array(lengths), np.stack(k), period)}
-    for name, length, state in (("lead_in", spec.lead_in_length, lead_in),
-                                ("lead_out", spec.lead_out_length, lead_out)):
+    k, lengths = _period_segments(spec, field["omega"])
+    parts = {"period": (lengths, np.stack(k), field["period"])}
+    for name, length in (("lead_in", spec.lead_in_length), ("lead_out", spec.lead_out_length)):
         if length > 0:
-            parts[name] = (np.array([length]), k[1][None], state[None, None])
-    table = {}
+            parts[name] = ([length], k[1][None], field[name][None, None])
+    table, angles = {"ratio": ratio, "log_ratio": lr, "num": num}, {}
     for name, (lengths, k, amps) in parts.items():
         lengths = np.reshape(lengths, (-1, 1, 1))      # (segment, wave, elements)
         if role == "pump":
             amps = np.stack([w * _pump_waves(amps[a], amps[b])
                              for a, b, w in _pairs(len(amps))]) * lengths
-        elif role == "signal":
-            amps = np.conj(amps)
         angle = 0.5 * lengths * np.reshape(_WAVES[role], (-1, 1)) * k[:, None]
-        table.update({name: amps, name + "_angle": angle,
-                      name + "_turn": np.exp(1j * angle)})
-    return table
+        table[name] = amps
+        angles.update({name + "_angle": angle, name + "_turn": np.exp(1j * angle)})
+    if role == "pump":
+        pairs = _pairs(2)
+        table.update(ratio=np.stack([ratio[a] * ratio[b] for a, b, _ in pairs]),
+                     log_ratio=np.stack([lr[a] + lr[b] for a, b, _ in pairs]),
+                     num=np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1))
+    elif role == "signal":
+        table = {name: np.conj(v) for name, v in table.items()}
+    table.update(angles, **{name: field[name] for name in ("omega", "band_edge", "fwd", "entry")})
+    # contiguous, so that the kernel's inner loops run along frequency
+    return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
 
 def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -431,7 +410,8 @@ def overlap_table(spec: GratingSpec, w1: np.ndarray, w2: np.ndarray) -> np.ndarr
                for name, v in signal.items()},
               {name: np.broadcast_to(v[..., None, :], v.shape[:-1] + (n1, n2))
                for name, v in idler.items()})
-    return _bloch_overlap(spec, tables)
+    return _bloch_overlap(spec, (n1, n2), max(1, _CHUNK // n2), lambda rows: tuple(
+        {name: v[..., rows, :] for name, v in table.items()} for table in tables))
 
 
 # --------------------------------------------------------------------------

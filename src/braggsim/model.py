@@ -117,7 +117,7 @@ def _require_uniform(points: np.ndarray, spacing: float | None = None) -> float:
         spacing = float(points[1] - points[0])
     # tolerance covers float granularity of absolute frequencies ~1e15
     tol = max(1e-9 * abs(spacing), 8.0 * np.finfo(float).eps * float(np.max(np.abs(points))))
-    if np.max(np.abs(np.diff(points) - spacing)) > tol:
+    if not np.max(np.abs(np.diff(points) - spacing)) <= tol:     # NaN fails it too
         raise InvalidArgument("grid spacing is not uniform to 1e-9")
     return spacing
 

@@ -48,19 +48,20 @@ WAVELENGTH_DOMAIN = (1500e-9, 1600e-9)
 # frequencies per task of the array kernels, so that their temporaries do
 # not grow with the number of frequencies asked for: transmission_spectrum
 # solves structure_matrix _CHUNK frequencies at a time. fwm's Bloch overlap
-# writes into work arrays of about 1.8 KB per element. A JSD table takes tasks
-# of whole rows of at most _CHUNK elements (one row when a row is wider) that
-# view factor tables solved once for the grid. A sweep takes tasks of
-# _CHUNK // 4 elements, since each also solves its own factor tables (about
-# 1 KB per element, 2 KB while they are solved) and the heap keeps the
-# high-water mark of a task's arrays.
+# runs its tasks in one loop that writes into one set of work arrays per call,
+# about 1.8 KB per element of a task. A JSD table takes tasks of whole rows of
+# at most _CHUNK elements (one row when a row is wider) that view factor
+# tables solved once for the grid. A sweep takes tasks of _CHUNK // 4
+# elements, since each also solves its own factor tables (about 1 KB per
+# element, 2 KB while they are solved) and the heap keeps the high-water mark
+# of a task's arrays.
 _CHUNK = 1024
 
 
 def _check_domain(omega, label: str) -> None:
     lam = wavelength_from_omega(np.asarray(omega, dtype=float))
     lo, hi = WAVELENGTH_DOMAIN
-    if np.any(lam < lo * (1 - 1e-12)) or np.any(lam > hi * (1 + 1e-12)):
+    if not np.all((lam >= lo * (1 - 1e-12)) & (lam <= hi * (1 + 1e-12))):   # NaN fails it
         raise OutOfDomain(
             f"{label} wavelength outside the {lo * 1e9:.0f}-{hi * 1e9:.0f} nm model domain")
 
@@ -202,7 +203,7 @@ def stopband_report(spec: GratingSpec, grid: FrequencyGrid,
 
 def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> StopbandReport:
     """stopband_report from a transmission_spectrum already computed."""
-    if threshold_db <= 0:
+    if not threshold_db > 0:
         raise InvalidArgument("threshold_db must be > 0")
     lam = sweep.x * 1e-9
     trans = sweep.column("transmission")
@@ -225,9 +226,9 @@ def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> Stopban
 
 def rejection_estimate_db(n_periods: int, n_lo: float, delta_n: float) -> float:
     """Closed-form deep-grating rejection 10*log10(exp(2 N ln(1+dn/n)) / 4)."""
-    if n_periods < 1:
+    if not n_periods >= 1:
         raise InvalidArgument("n_periods must be >= 1")
-    if n_lo <= 0 or delta_n <= 0:
+    if not (n_lo > 0 and delta_n > 0):
         raise InvalidArgument("n_lo and delta_n must be > 0")
     return 10.0 * (2.0 * n_periods * math.log1p(delta_n / n_lo) - math.log(4.0)) / math.log(10.0)
 
@@ -238,7 +239,7 @@ def design_periods(target_rejection_db: float, n_lo: float, delta_n: float) -> i
     The estimate caps below 10*log10(4) dB as N -> 0, so targets at or below
     that floor are rejected as out of domain.
     """
-    if n_lo <= 0 or delta_n <= 0:
+    if not (n_lo > 0 and delta_n > 0):
         raise InvalidArgument("n_lo and delta_n must be > 0")
     if not math.isfinite(target_rejection_db):
         raise InvalidArgument("target rejection must be finite")

@@ -43,6 +43,24 @@ def test_wavelength_domain_enforced():
         fwm.stimulated_idler(REF, PARAMS, W_P, model.omega_from_wavelength(1620e-9))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["pump", "signal", "idler"])
+def test_nan_frequency_is_out_of_domain(field):
+    # a NaN frequency fails the domain check, where it once passed every
+    # comparison and reached the kernel as a NaN J
+    omegas = {"pump": np.array([W_P, W_P]), "signal": np.array([W_S]),
+              "idler": np.full(2, 2.0 * W_P - W_S)}
+    omegas[field][-1] = math.nan
+    with pytest.raises(model.OutOfDomain, match=field):
+        fwm.overlap_elements(REF, *omegas.values())
+
+
+@pytest.mark.filterwarnings("error")
+def test_pump_sweep_refuses_a_nan_wavelength():
+    with pytest.raises(model.OutOfDomain, match="pump"):
+        fwm.pump_sweep(REF, PARAMS, [1545e-9, math.nan, 1546e-9], 1560e-9)
+
+
 class TestSegmentExpIntegral:
     def test_zero_kappa(self):
         assert segment_exp_integral(0.0, 3.2e-6) == pytest.approx(3.2e-6)
@@ -562,6 +580,36 @@ class TestSweepTasks:
         w_p, w_s, w_i = pump_scan(1541.9e-9, 1550e-9, 2 * task + 7)
         fwm.overlap_elements(REF, w_p, w_s[:1], w_i)
         assert sizes == [(task, 1, task), (task, 1, task), (7, 1, 7)]
+
+    @pytest.mark.parametrize("kind", ["sweep", "table"])
+    def test_one_set_of_work_arrays_per_call(self, monkeypatch, kind):
+        # a sweep's tasks and a table's run in the kernel's one task loop, so
+        # every task of a call writes into the one _Work the call created
+        created, handed = [], []
+
+        class Counting(fwm._Work):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+        real = fwm._bloch_chunk
+
+        def recording(spec, fp, fs, fi, work):
+            handed.append(work)
+            return real(spec, fp, fs, fi, work)
+
+        monkeypatch.setattr(fwm, "_Work", Counting)
+        monkeypatch.setattr(fwm, "_bloch_chunk", recording)
+        if kind == "sweep":
+            task = fwm._CHUNK // 4
+            w_p, w_s, w_i = pump_scan(1541.9e-9, 1550e-9, 2 * task + 7)
+            fwm.overlap_elements(REF, w_p, w_s[:1], w_i)
+        else:
+            rows, step = fwm._CHUNK // 101, 2.0 * math.pi * 1e9
+            fwm.overlap_table(REF, W_S + step * np.arange(2 * rows + 7),
+                              2.0 * W_P - W_S + step * np.arange(101))
+        assert len(created) == 1 and len(handed) == 3
+        assert all(work is created[0] for work in handed)
 
     @pytest.mark.parametrize("chunk", [512, 1024, 2048])
     @pytest.mark.parametrize("case", ["reference", "leads", "band-edge"])

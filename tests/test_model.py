@@ -70,6 +70,17 @@ def test_frequency_grid_rejects_non_finite_input(make):
         make()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", [0, 1, 2, 4])
+def test_uniform_grid_check_refuses_a_nan_point(where):
+    # overlap_table checks its grids by _require_uniform alone, which once
+    # returned a spacing for a grid with a NaN past its first step
+    points = np.arange(5.0)
+    points[where] = math.nan
+    with pytest.raises(model.InvalidArgument, match="uniform"):
+        model._require_uniform(points)
+
+
 def test_frequency_grid_accepts_linspace_at_optical_scale():
     # ulp-level jitter of linspace must stay under the uniformity tolerance
     pts = np.linspace(1.205e15, 1.225e15, 4001)

@@ -263,11 +263,15 @@ class TestChunkedTable:
         table = fwm.overlap_table(spec, w1, w2)
         np.testing.assert_array_equal(table, pieces_of_elements(spec, w1, w2, 1000))
 
-    @pytest.mark.parametrize("bad", [np.array([0.0, 1.0, 3.0, 4.0]), np.array([0.0])],
-                             ids=["non-uniform", "one-point"])
+    @pytest.mark.parametrize("bad", [np.array([0.0, 1.0, 3.0, 4.0]), np.array([0.0]),
+                                     np.array([0.0, 1.0, math.nan, 3.0])],
+                             ids=["non-uniform", "one-point", "nan-point"])
+    @pytest.mark.filterwarnings("error")
     def test_table_refuses_a_grid_that_is_not_uniform(self, bad):
         # the pump midpoints are read off the first points and the spacing,
-        # so a non-uniform grid would put its pump at the wrong frequencies
+        # so a non-uniform grid would put its pump at the wrong frequencies;
+        # a NaN past the first step once passed the check, as every
+        # comparison with NaN is False
         w1, w2 = SIGNAL_WIN.center_omega, IDLER_WIN.center_omega
         step = 2.0 * math.pi * 1e9
         for grids in ((w1 + step * bad, w2 + step * np.arange(4)),

@@ -352,6 +352,26 @@ def test_design_periods_rejects_a_non_finite_target(target):
         transfer.design_periods(target, 2.414, 3.4985e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: transfer.spectrum_stopband(
+        transfer.transmission_spectrum(REF, model.make_wavelength_grid(1546e-9, 8e-9, 41)),
+        math.nan),
+    lambda: transfer.rejection_estimate_db(2000, math.nan, 3e-3),
+    lambda: transfer.rejection_estimate_db(2000, 2.414, math.nan),
+    lambda: transfer.rejection_estimate_db(math.nan, 2.414, 3e-3),
+    lambda: transfer.design_periods(20.0, math.nan, 3e-3),
+    lambda: transfer.design_periods(20.0, 2.414, math.nan),
+], ids=["stopband-threshold", "estimate-n_lo", "estimate-delta_n", "estimate-n_periods",
+        "design-n_lo", "design-delta_n"])
+def test_nan_fails_the_range_guards(call):
+    # every comparison with NaN is False, so a guard written as the failing
+    # condition (x <= 0) would pass NaN on, to a NaN result or a bare
+    # ValueError
+    with pytest.raises(model.InvalidArgument):
+        call()
+
+
 # --------------------------------------------------------------------------
 # internal fields
 
