@@ -51,8 +51,9 @@ __all__ = [
 def idler_omega(omega_p: float, omega_s: float) -> float:
     """Idler frequency from energy conservation, 2*omega_p = omega_s + omega_i."""
     w = 2.0 * omega_p - omega_s
-    if w <= 0:
-        raise InvalidArgument("signal frequency exceeds twice the pump frequency")
+    if not 0 < w < math.inf:
+        raise InvalidArgument("signal frequency exceeds twice the pump frequency, or a "
+                              "frequency is not finite")
     return w
 
 
@@ -219,13 +220,13 @@ def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict,
 
     A field flagged band_edge is lifted: its tables hold the two basis
     states in place of its Bloch modes (see _bloch_fields), and it enters
-    period m in the state F^m e (F its `fwd` map, e its `entry` state),
-    conjugated for the signal, as its symmetric square (the pairs of
-    _pairs) for the pump. The others stay in their Bloch modes, whose maps
-    are diagonal, so no growing mode of theirs is squared. The product state
-    moves by the Kronecker product T of the three maps, and the sum is
-    weight . sum_{m<N} T^m y_0, the last column of [[T, y_0], [0, 1]]^N by
-    squaring (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
+    period m in the state F^m e, F its table's `fwd` map and e its `entry`
+    state, both in the field's role form. The others stay in their Bloch
+    modes, whose maps are diagonal, so no growing mode of theirs is squared.
+    The product state moves by the Kronecker product T of the three maps,
+    and the sum is weight . sum_{m<N} T^m y_0, the last column of
+    [[T, y_0], [0, 1]]^N by squaring (Van Loan, IEEE Trans. Autom. Control
+    23, 395 (1978)).
     """
     n = len(fp["omega"])
     growth = spec.n_periods * np.max(sum(np.max(f["log_ratio"].real, axis=0) * f["band_edge"]
@@ -234,30 +235,22 @@ def _band_edge_sum(spec: GratingSpec, fp: dict, fs: dict, fi: dict,
         raise OutOfDomain(f"band-edge element on a grating too deep for the segment "
                           f"sum: its lifted fields grow by e^{growth:.1f} across it")
     maps, starts = [], []
-    for f, role in zip((fp, fs, fi), ("pump", "signal", "idler")):
-        lift, fwd, entry = f["band_edge"], np.moveaxis(f["fwd"], -1, 0), f["entry"].T
-        if role == "pump":
-            pairs = _pairs(2)
-            fwd = np.stack([np.stack([(fwd[:, a, c] * fwd[:, b, d] + fwd[:, a, d] * fwd[:, b, c])
-                                      * (w / 2.0) for c, d, w in pairs], axis=-1)
-                            for a, b, _ in pairs], axis=-2)
-            entry = np.stack([entry[:, a] * entry[:, b] for a, b, _ in pairs], axis=-1)
-        elif role == "signal":
-            fwd, entry = np.conj(fwd), np.conj(entry)
-        modes = f["ratio"].T[:, :, None] * np.eye(len(f["ratio"]))
-        maps.append(np.where(lift[:, None, None], fwd, modes))
-        starts.append(np.where(lift[:, None], entry, f["num"][1].T))
+    for f in (fp, fs, fi):
+        lift, modes = f["band_edge"], f["ratio"].T[:, :, None] * np.eye(len(f["ratio"]))
+        maps.append(np.where(lift[:, None, None], np.moveaxis(f["fwd"], -1, 0), modes))
+        starts.append(np.where(lift[:, None], f["entry"].T, f["num"][1].T))
     yp, ys, yi = starts
     lifted = (*maps, yp[:, :, None, None] * ys[:, None, :, None] * yi[:, None, None, :])
-    states = _mat_power(lifted, spec.n_periods, _lifted_product)[3]
-    return _mul(weight.reshape(12, n).T[:, None], states.reshape(n, 12, 1))[:, 0, 0]
+    states = _mat_power(lifted, spec.n_periods, _lifted_product)[-1]
+    return _mul(weight.reshape(-1, n).T[:, None], states.reshape(n, -1, 1))[:, 0, 0]
 
 
 def _lifted_product(a, b):
     """[[T_a T_b, T_a y_b + y_a], [0, 1]] from two maps [[T, y], [0, 1]] of
-    _band_edge_sum, each held as T's (pump, signal, idler) factors and y."""
+    _band_edge_sum, each held as T's (pump, signal, idler) factors, of any
+    size, and y."""
     (pa, sa, ia, ya), (pb, sb, ib, yb) = a, b
-    y = _mul(pa, yb.reshape(-1, 3, 4)).reshape(yb.shape)
+    y = _mul(pa, yb.reshape(*yb.shape[:2], -1)).reshape(yb.shape)
     y = _mul(_mul(sa[:, None], y), ia[:, None].swapaxes(-1, -2))
     return _mul(pa, pb), _mul(sa, sb), _mul(ia, ib), y + ya
 
@@ -301,6 +294,8 @@ def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
     sizes = [omega_p.size, omega_s.size, omega_i.size]
     field = _bloch_fields(spec, np.concatenate([omega_p, omega_s, omega_i]),
                           np.repeat([False, False, True], sizes))
+    if not np.any(field["band_edge"]):     # only the band-edge path reads them
+        del field["fwd"], field["entry"]
     bounds = np.cumsum([0] + sizes)
     return tuple(_field_factors(spec, {name: v[..., lo:hi] for name, v in field.items()}, role)
                  for lo, hi, role in zip(bounds, bounds[1:], ("pump", "signal", "idler")))
@@ -312,17 +307,11 @@ def _field_tables(spec: GratingSpec, omega_p, omega_s, omega_i):
 _WAVES = {"pump": (2.0, 0.0, -2.0), "signal": (-1.0, 1.0), "idler": (1.0, -1.0)}
 
 
-def _pairs(modes: int):
-    """The distinct (a, b) pairs of `modes` modes with their multiplicities:
-    the two pump photons share one field, so the pairs ab and ba are equal."""
-    return [(a, b, 1.0 if a == b else 2.0) for a in range(modes) for b in range(a, modes)]
-
-
-def _pump_waves(x, y):
-    """(forward, backward) amplitude pairs x and y, along axis 1, multiplied
-    into the amplitudes of the pump product's three plane waves."""
-    return np.stack([x[:, 0] * y[:, 0], x[:, 0] * y[:, 1] + x[:, 1] * y[:, 0],
-                     x[:, 1] * y[:, 1]], axis=1)
+# the distinct (a, b) mode pairs of the two pump photons, which share one
+# field, so that ab and ba are one pair: index arrays (a, b, multiplicity)
+# for the Bloch solve's two modes and for a lead's one
+_PAIRS = {2: (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 2.0, 1.0])),
+          1: (np.array([0]), np.array([0]), np.array([1.0]))}
 
 
 def _power(log_ratio, n: int):
@@ -351,11 +340,15 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
     - lead_in, lead_out (with _angle, _turn): the same for the field in that
                      lead, one segment of one mode; present only if the lead
                      has a length
-    - omega, band_edge, fwd, entry:  as _bloch_fields gives them
+    - fwd, entry:    (mode, mode), (mode,)  the period map and entry state of
+                     _bloch_fields in the role's form; present only for a
+                     field solve with a band-edge frequency (_field_tables)
+    - omega, band_edge:  as _bloch_fields gives them
 
-    Mode axes come first; for the pump they run over the mode pairs of
-    _pairs. The signal's ratios, numerators and amplitudes are conjugated,
-    as J reads it.
+    This is the one function that applies a field's role. Mode axes come
+    first; for the pump they run over the mode pairs of _PAIRS, and its fwd
+    and entry are their symmetric square. The signal's tables are
+    conjugated, as J reads it.
     """
     n = spec.n_periods
     lr = field["log_ratio"]
@@ -368,22 +361,28 @@ def _field_factors(spec: GratingSpec, field: dict, role: str) -> dict:
         if length > 0:
             parts[name] = ([length], k[1][None], field[name][None, None])
     table, angles = {"ratio": ratio, "log_ratio": lr, "num": num}, {}
+    table.update((name, field[name]) for name in ("fwd", "entry") if name in field)
     for name, (lengths, k, amps) in parts.items():
         lengths = np.reshape(lengths, (-1, 1, 1))      # (segment, wave, elements)
-        if role == "pump":
-            amps = np.stack([w * _pump_waves(amps[a], amps[b])
-                             for a, b, w in _pairs(len(amps))]) * lengths
+        if role == "pump":      # the (forward, backward) amplitudes of each pair
+            a, b, w = _PAIRS[len(amps)]
+            (x0, x1), (y0, y1) = (np.moveaxis(amps[i], 2, 0) for i in (a, b))
+            amps = w[:, None, None, None] * np.stack(
+                [x0 * y0, x0 * y1 + x1 * y0, x1 * y1], axis=2) * lengths
         angle = 0.5 * lengths * np.reshape(_WAVES[role], (-1, 1)) * k[:, None]
         table[name] = amps
         angles.update({name + "_angle": angle, name + "_turn": np.exp(1j * angle)})
     if role == "pump":
-        pairs = _pairs(2)
-        table.update(ratio=np.stack([ratio[a] * ratio[b] for a, b, _ in pairs]),
-                     log_ratio=np.stack([lr[a] + lr[b] for a, b, _ in pairs]),
-                     num=np.stack([num[:, a] * num[:, b] for a, b, _ in pairs], axis=1))
+        a, b, w = _PAIRS[2]
+        table.update(ratio=ratio[a] * ratio[b], log_ratio=lr[a] + lr[b],
+                     num=num[:, a] * num[:, b])
+        if "fwd" in table:      # rows (a, b)[:, None], columns (a, b)
+            f, e, ra, rb = table["fwd"], table["entry"], a[:, None], b[:, None]
+            table.update(fwd=(f[ra, a] * f[rb, b] + f[ra, b] * f[rb, a]) * (w / 2.0)[:, None],
+                         entry=e[a] * e[b])
     elif role == "signal":
         table = {name: np.conj(v) for name, v in table.items()}
-    table.update(angles, **{name: field[name] for name in ("omega", "band_edge", "fwd", "entry")})
+    table.update(angles, omega=field["omega"], band_edge=field["band_edge"])
     # contiguous, so that the kernel's inner loops run along frequency
     return {name: np.ascontiguousarray(v) for name, v in table.items()}
 
@@ -515,6 +514,8 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     (in the sweep's x units) from the minimum.
     """
     y = sweep.column(column)
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgument(f"{column} holds a non-finite value; dip contrast undefined")
     if not np.any(y):
         raise InvalidArgument(f"{column} is zero (zero gamma, pump power or signal "
                               "power); dip contrast undefined")

@@ -433,7 +433,7 @@ _CSV_BLOCK = 1024  # rows per block of SweepResult.csv_blocks
 
 # A cell is the _FMT text of one value in 16 byte slots, 0 where unused:
 # sign, digit, ".", 8 digits, "e", exponent sign, hundreds, tens, units
-# (non-finite text is left-aligned instead)
+# (the text of a value formatted by _FMT.format is left-aligned instead)
 _CELL = 16
 _DIGIT_SLOTS = (10, 9, 8, 7, 6, 5, 4, 3, 1)  # mantissa digits, last first
 _POW10 = np.array([10.0 ** p for p in range(301)])
@@ -450,7 +450,8 @@ def _format_cells(values) -> np.ndarray:
     The scaled value is good to a few units of 1e-7, so m is exact unless
     it lies within _TIE_MARGIN of a rounding tie. Such values, non-finite
     values and values whose m is not in [1e8, 1e9) (subnormals, 9.99999999951
-    whose m rounds up to 1e9) are formatted by _FMT.format instead."""
+    whose m rounds up to 1e9) are formatted by _FMT.format instead, their
+    text left-aligned in the cell: _csv_rows deletes the unused bytes."""
     shape = np.shape(values)
     x = np.asarray(values, dtype=float).ravel()
     a = np.abs(x)
@@ -465,16 +466,7 @@ def _format_cells(values) -> np.ndarray:
     m = np.rint(y)
     slow = ~np.isfinite(x) | (nonzero & ((y < 1e8) | (m >= 1e9)
                                          | (np.abs(y - np.floor(y) - 0.5) < _TIE_MARGIN)))
-    m[slow] = 0
     m = m.astype(np.int32)
-    non_finite = {}
-    for i in np.flatnonzero(slow).tolist():
-        text = _FMT.format(x[i])
-        if text[-2].isdigit():      # finite: take its digits and exponent
-            body = text.lstrip("-")
-            m[i], e[i] = int(body[0] + body[2:10]), int(body[11:])
-        else:
-            non_finite[i] = text
 
     cells = np.zeros((x.size, _CELL), dtype=np.uint8)
     cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
@@ -489,9 +481,10 @@ def _format_cells(values) -> np.ndarray:
     cells[:, 13] = np.where(ae >= 100, ae // 100 + ord("0"), 0)
     cells[:, 14] = ae // 10 % 10 + ord("0")
     cells[:, 15] = ae % 10 + ord("0")
-    for i, text in non_finite.items():
+    for i in np.flatnonzero(slow).tolist():
+        text = _FMT.format(x[i]).encode("ascii")
         cells[i] = 0
-        cells[i, :len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return cells.reshape(*shape, _CELL)
 
 

@@ -82,16 +82,16 @@ class SpontRate:
     rate_per_mw2_external: float | None
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise InvalidArgument("rate must be >= 0")
+        if not 0 <= self.rate < math.inf:
+            raise InvalidArgument("rate must be finite and >= 0")
 
 
 def spont_from_stim(stim: StimulatedResult, signal_power: float,
                     window: CollectionWindow) -> SpontRate:
     """Spontaneous power in the window from the stimulated conversion ratio:
     P_spont = hbar omega_i * bandwidth * (P_stim / P_signal)."""
-    if signal_power <= 0:
-        raise InvalidArgument("signal power must be > 0")
+    if not 0 < signal_power < math.inf:
+        raise InvalidArgument("signal power must be finite and > 0")
     ratio = stim.idler_power / signal_power
     spont_power = HBAR * stim.omega_i * window.width * ratio
     rate = window.width * ratio
@@ -142,20 +142,17 @@ class TwoPhotonState:
         d1, d2 = self.signal_grid.spacing, self.idler_grid.spacing
         power = np.abs(amp) ** 2
         total = float(np.sum(power))
+        beta_sq = total * d1 * d2 / (2.0 * math.pi) ** 2
+        if not beta_sq < _BETA_SQ_LIMIT:     # NaN and inf fail it too
+            raise InvalidArgument(
+                f"{source} state: pair probability per pulse too large for first-order theory "
+                f"({beta_sq:.3g}, not below {_BETA_SQ_LIMIT:g})")
         is_zero = total == 0.0
-        if is_zero:
-            beta_sq, jsd = 0.0, np.zeros_like(power)
-        else:
-            beta_sq = total * d1 * d2 / (2.0 * math.pi) ** 2
-            jsd = power / (total * d1 * d2)
+        jsd = np.zeros_like(power) if is_zero else power / (total * d1 * d2)
         jsd.flags.writeable = False
         object.__setattr__(self, "beta_sq", beta_sq)
         object.__setattr__(self, "jsd", jsd)
         object.__setattr__(self, "is_zero", is_zero)
-        if beta_sq >= _BETA_SQ_LIMIT:
-            raise InvalidArgument(
-                f"{source} state: pair probability per pulse too large for first-order theory "
-                f"({beta_sq:.3g} >= {_BETA_SQ_LIMIT:g})")
 
 
 def two_photon_state_bw(spec: GratingSpec, params: NonlinearParams,

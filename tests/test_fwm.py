@@ -519,6 +519,40 @@ class TestBandEdge:
         assert counts["_field_tables"] == (2 if call == "elements" else 1)
         assert counts["_facet_states"] == counts["_period_maps"] == counts["_field_tables"]
 
+    def test_tables_hold_the_role_forms_only_with_a_band_edge(self, band_edge, monkeypatch):
+        # only the band-edge path reads the period map and entry state, so a
+        # field solve with no band-edge frequency leaves them out; with one,
+        # every table holds them in its role's form
+        off_edge = fwm._field_tables(REF, np.array([W_P]), np.array([W_S]),
+                                     np.array([2.0 * W_P - W_S]))
+        assert not any({"fwd", "entry"} & set(table) for table in off_edge)
+
+        w_p = np.array([band_edge, band_edge * 1.001])
+        w_s = np.full(2, W_S)
+        exact = transfer._bloch_cosine
+
+        def degenerate(spec, omegas):
+            sign, q = exact(spec, omegas)
+            return sign, np.where(omegas == band_edge, 0.0, q)
+
+        monkeypatch.setattr(transfer, "_bloch_cosine", degenerate)
+        pump, signal, _ = fwm._field_tables(REF, w_p, w_s, 2.0 * w_p - w_s)
+        assert list(pump["band_edge"]) == [True, False]
+        # the pump's map and entry state act on the distinct pairs (00, 01, 11)
+        # of its two photons' product state: pairs(F e) = fwd . pairs(e)
+        field = transfer._bloch_fields(REF, w_p, "left")
+        (f00, f01), (f10, f11) = field["fwd"]
+        e0, e1 = field["entry"]
+        assert pump["fwd"].shape == (3, 3, 2)
+        np.testing.assert_array_equal(pump["fwd"], [
+            [f00 * f00, 2.0 * f00 * f01, f01 * f01],
+            [f00 * f10, f00 * f11 + f01 * f10, f01 * f11],
+            [f10 * f10, 2.0 * f10 * f11, f11 * f11]])
+        np.testing.assert_array_equal(pump["entry"], [e0 * e0, e0 * e1, e1 * e1])
+        field = transfer._bloch_fields(REF, w_s, "left")
+        np.testing.assert_array_equal(signal["fwd"], np.conj(field["fwd"]))
+        np.testing.assert_array_equal(signal["entry"], np.conj(field["entry"]))
+
 
 class TestLiftedPower:
     @pytest.fixture

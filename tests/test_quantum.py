@@ -86,6 +86,39 @@ class TestSpontFromStim:
             quantum.spont_from_stim(stim, 0.0, SIGNAL_WIN)
 
 
+def _reference_stim():
+    return fwm.stimulated_idler(REF, PARAMS, model.omega_from_wavelength(REF.bragg_wavelength),
+                                model.omega_from_wavelength(1560.05e-9))
+
+
+def _with_sample(values, bad):
+    """A copy of `values` with its middle sample set to `bad`."""
+    values = np.array(values)
+    values.flat[values.size // 2] = bad
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: quantum.spont_from_stim(_reference_stim(), bad, SIGNAL_WIN),
+    lambda bad: quantum.SpontRate(rate=bad, bandwidth=1.0, spont_power=0.0, rate_per_mw2=0.0,
+                                  rate_per_mw2_external=None),
+    lambda bad: fwm.idler_omega(bad, model.omega_from_wavelength(1560.05e-9)),
+    lambda bad: quantum.TwoPhotonState(_with_sample(np.full((5, 5), 1e-3 + 0j), bad),
+                                       SIGNAL_WIN.grid(5), IDLER_WIN.grid(5)),
+    lambda bad: fwm.dip_report(model.SweepResult("x", np.arange(9.0),
+                                                 {"y": _with_sample(np.arange(1.0, 10.0), bad)}),
+                               column="y", exclude_halfwidth=0.5),
+], ids=["spont-signal-power", "spont-rate", "idler-omega", "state-amplitude", "dip-column"])
+def test_non_finite_fails_the_guards(call, bad):
+    # every comparison with NaN is False, so a guard written as the failing
+    # condition (x <= 0) passes NaN on; each is written as the passing one,
+    # which NaN and inf fail, before any arithmetic that would warn
+    with pytest.raises(model.InvalidArgument):
+        call(bad)
+
+
 # --------------------------------------------------------------------------
 # waveguide two-photon state
 
