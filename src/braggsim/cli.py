@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .threads import requested_threads
-
 if TYPE_CHECKING:   # numpy must not load before _apply_thread_env runs
     from .model import CollectionWindow, GratingSpec, NonlinearParams, PumpPulse, RingSpec
 
@@ -44,6 +42,21 @@ class ConfigError(Exception):
 
 class IOFailure(Exception):
     """Filesystem-level failure (missing input, refusing to overwrite, ...)."""
+
+
+def requested_threads() -> int:
+    """BRAGGSIM_THREADS as an integer >= 0; 0 (also when unset) means
+    automatic. Anything else raises ValueError naming the variable."""
+    raw = os.environ.get("BRAGGSIM_THREADS", "").strip()
+    if not raw:
+        return 0
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"BRAGGSIM_THREADS: expected an integer, got {raw!r}") from None
+    if n < 0:
+        raise ValueError("BRAGGSIM_THREADS: must be >= 0")
+    return n
 
 
 def _apply_thread_env() -> None:

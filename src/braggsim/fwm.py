@@ -513,6 +513,8 @@ def dip_report(sweep: SweepResult, column: str = "idler_rate_per_s_per_mw2",
     The baseline is the median of points farther than exclude_halfwidth
     (in the sweep's x units) from the minimum.
     """
+    if not 0 <= exclude_halfwidth < math.inf:
+        raise InvalidArgument("exclude_halfwidth must be finite and >= 0")
     y = sweep.column(column)
     if not np.all(np.isfinite(y)):
         raise InvalidArgument(f"{column} holds a non-finite value; dip contrast undefined")

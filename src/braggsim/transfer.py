@@ -10,6 +10,11 @@ N-th power of its unit-cell matrix. z = 0 sits at the left facet.
 
 For lossless index steps the scattering amplitudes follow from the matrix
 entries as t = 1/m00 and r = m10/m00, with |t|^2 + |r|^2 = 1 and det M = 1.
+
+A uniform section, a lead or a segment, is diag(e^{-ikL}, e^{ikL}) and is
+kept as that phase pair, which scales the rows or columns of its neighbour
+in a product. Leads change only the phases of t, r and the facet states, so
+the facet states of the internal fields come from the bare grating's power.
 """
 from __future__ import annotations
 
@@ -83,13 +88,12 @@ def _period_segments(spec: GratingSpec, omega):
 # stacked 2x2 primitives (leading axes broadcast over frequency)
 
 
-def _prop_stack(k, length: float) -> np.ndarray:
-    """Uniform section of propagation constant k and the given length."""
+def _phases(k, length: float) -> np.ndarray:
+    """Uniform section of propagation constant k and the given length as its
+    matrix's diagonal (e^{-ikL}, e^{ikL}), which scales rows as a product's
+    left factor (p[..., :, None] * m) and columns as its right one."""
     k = np.asarray(k, dtype=complex)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * k * length)
-    out[..., 1, 1] = np.exp(1j * k * length)
-    return out
+    return np.stack([np.exp(-1j * k * length), np.exp(1j * k * length)], axis=-1)
 
 
 def _mul(a, b) -> np.ndarray:
@@ -133,8 +137,9 @@ def _iface_stack(k1, k2) -> np.ndarray:
 def unit_cell_matrix(spec: GratingSpec, omega) -> np.ndarray:
     """One period as entered from the unperturbed medium, shape omega.shape + (2, 2)."""
     (k_lo, k_hi), (d_lo, d_hi) = _period_segments(spec, np.asarray(omega, dtype=float))
-    m = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, d_lo))
-    return _mul(_mul(m, _iface_stack(k_lo, k_hi)), _prop_stack(k_hi, d_hi))
+    m = _mul(_iface_stack(k_hi, k_lo) * _phases(k_lo, d_lo)[..., None, :],
+             _iface_stack(k_lo, k_hi))
+    return m * _phases(k_hi, d_hi)[..., None, :]
 
 
 def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
@@ -143,8 +148,8 @@ def structure_matrix(spec: GratingSpec, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     (_, k_hi), _ = _period_segments(spec, omega)
     m = _mat_power(unit_cell_matrix(spec, omega), spec.n_periods)
-    return _mul(_mul(_prop_stack(k_hi, spec.lead_in_length), m),
-                _prop_stack(k_hi, spec.lead_out_length))
+    return (_phases(k_hi, spec.lead_in_length)[..., :, None] * m
+            * _phases(k_hi, spec.lead_out_length)[..., None, :])
 
 
 def transmission_spectrum(spec: GratingSpec, grid: FrequencyGrid) -> SweepResult:
@@ -203,8 +208,8 @@ def stopband_report(spec: GratingSpec, grid: FrequencyGrid,
 
 def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> StopbandReport:
     """stopband_report from a transmission_spectrum already computed."""
-    if not threshold_db > 0:
-        raise InvalidArgument("threshold_db must be > 0")
+    if not 0 < threshold_db < math.inf:
+        raise InvalidArgument("threshold_db must be finite and > 0")
     lam = sweep.x * 1e-9
     trans = sweep.column("transmission")
     db = sweep.column("transmission_db")
@@ -226,8 +231,9 @@ def spectrum_stopband(sweep: SweepResult, threshold_db: float = 10.0) -> Stopban
 
 def rejection_estimate_db(n_periods: int, n_lo: float, delta_n: float) -> float:
     """Closed-form deep-grating rejection 10*log10(exp(2 N ln(1+dn/n)) / 4)."""
-    if not n_periods >= 1:
-        raise InvalidArgument("n_periods must be >= 1")
+    if isinstance(n_periods, (bool, np.bool_)) or not (
+            n_periods >= 1 and float(n_periods).is_integer()):
+        raise InvalidArgument("n_periods must be a positive integer")
     if not (n_lo > 0 and delta_n > 0):
         raise InvalidArgument("n_lo and delta_n must be > 0")
     return 10.0 * (2.0 * n_periods * math.log1p(delta_n / n_lo) - math.log(4.0)) / math.log(10.0)
@@ -266,32 +272,35 @@ def _period_maps(spec: GratingSpec, omegas: np.ndarray):
     crosses that segment and fwd the period."""
     (k_lo, k_hi), (d_lo, d_hi) = _period_segments(spec, omegas)
     into_lo = _iface_stack(k_lo, k_hi)
-    lo_to_hi = _mul(_iface_stack(k_hi, k_lo), _prop_stack(k_lo, -d_lo))
-    fwd = _mul(_mul(_prop_stack(k_hi, -d_hi), lo_to_hi), into_lo)
+    lo_to_hi = _iface_stack(k_hi, k_lo) * _phases(k_lo, -d_lo)[..., None, :]
+    fwd = _mul(_phases(k_hi, -d_hi)[..., :, None] * lo_to_hi, into_lo)
     return into_lo, lo_to_hi, fwd
 
 
 def _facet_states(spec: GratingSpec, omegas: np.ndarray, side):
     """Exact states of the field launched from `side` (see
-    _segment_amplitudes), from structure_matrix: (start, entry, exit_) at
-    z = 0, entering the grating and at the grating's right end. `side` is
-    'left', 'right' or a boolean array over the frequencies, True where the
-    field is launched from the right."""
+    _segment_amplitudes): (start, entry, exit_) at z = 0, entering the
+    grating and at the grating's right end. `side` is 'left', 'right' or a
+    boolean array over the frequencies, True where the field is launched
+    from the right. They are the bare grating's (from t, r and r' of its
+    power) times e^{ikL} of the lead the wave crosses first, the lead-in for
+    a left launch and the lead-out for a right one; start is entry carried
+    back across the lead-in."""
     if isinstance(side, str):
         if side not in ("left", "right"):
             raise InvalidArgument("side must be 'left' or 'right'")
         side = side == "right"
-    m = structure_matrix(spec, omegas)
+    g = _mat_power(unit_cell_matrix(spec, omegas), spec.n_periods)
     (_, k_hi), _ = _period_segments(spec, omegas)
     one, zero = np.ones_like(k_hi), np.zeros_like(k_hi)
     right = np.asarray(side)[..., None]
-    start = np.where(right, np.stack([zero, 1.0 / m[..., 0, 0]], axis=-1),
-                     np.stack([one, m[..., 1, 0] / m[..., 0, 0]], axis=-1))
-    facet_r = np.where(right, np.stack([-m[..., 0, 1] / m[..., 0, 0], one], axis=-1),
-                       np.stack([1.0 / m[..., 0, 0], zero], axis=-1))
-    entry = _mul(_prop_stack(k_hi, -spec.lead_in_length), start[..., None])[..., 0]
-    exit_ = _mul(_prop_stack(k_hi, spec.lead_out_length), facet_r[..., None])[..., 0]
-    return start, entry, exit_
+    entry = np.where(right, np.stack([zero, 1.0 / g[..., 0, 0]], axis=-1),
+                     np.stack([one, g[..., 1, 0] / g[..., 0, 0]], axis=-1))
+    exit_ = np.where(right, np.stack([-g[..., 0, 1] / g[..., 0, 0], one], axis=-1),
+                     np.stack([1.0 / g[..., 0, 0], zero], axis=-1))
+    lead = np.exp(1j * k_hi[..., None] * np.where(right, spec.lead_out_length, spec.lead_in_length))
+    entry, exit_ = lead * entry, lead * exit_
+    return _phases(k_hi, spec.lead_in_length) * entry, entry, exit_
 
 
 def _segment_amplitudes(spec: GratingSpec, omegas: np.ndarray, side: str):

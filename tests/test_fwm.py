@@ -223,6 +223,13 @@ class TestPumpSweepDip:
         with pytest.raises(model.InvalidArgument):
             fwm.dip_report(sweep, exclude_halfwidth=100.0)
 
+    @pytest.mark.parametrize("halfwidth", [-0.1, math.nan, math.inf])
+    def test_dip_report_refuses_a_bad_halfwidth(self, sweep, halfwidth):
+        # a negative half-width would keep the dip's own point in its baseline
+        with pytest.raises(model.InvalidArgument, match="exclude_halfwidth"):
+            fwm.dip_report(sweep, exclude_halfwidth=halfwidth)
+        assert fwm.dip_report(sweep, exclude_halfwidth=0.0).baseline_median > 0
+
 
 @pytest.mark.parametrize("size,levels", [(41, None), (40, None), (41, 3), (40, 3)],
                          ids=["odd", "even", "odd-tied", "even-tied"])

@@ -58,13 +58,17 @@ def reflection(m):
 
 
 def test_propagation_matrix_is_diagonal_phase():
-    k = transfer.wavenumber(2.4, 1.2e15)
-    m = transfer._prop_stack(k, 1e-6)
-    assert m.shape == (2, 2)
-    assert m[0, 1] == 0 and m[1, 0] == 0
-    assert m[0, 0] == pytest.approx(np.exp(-1j * k * 1e-6))
-    assert m[1, 1] == pytest.approx(np.exp(1j * k * 1e-6))
-    assert abs(det(m) - 1.0) < 1e-12
+    # a uniform section is diag(e^{-ikL}, e^{ikL}), kept as its two phases,
+    # which scale rows as a product's left factor and columns as its right
+    k = transfer.wavenumber(2.4, np.array([1.1e15, 1.2e15, 1.3e15]))
+    p = transfer._phases(k, 1e-6)
+    assert p.shape == (3, 2)
+    np.testing.assert_allclose(p[:, 0], np.exp(-1j * k * 1e-6), rtol=1e-15)
+    np.testing.assert_allclose(p[:, 1], np.exp(1j * k * 1e-6), rtol=1e-15)
+    np.testing.assert_allclose(p[:, 0] * p[:, 1], 1.0, rtol=1e-15)
+    m, diag = random_stack(np.random.default_rng(3), 3), p[:, :, None] * np.eye(2)
+    np.testing.assert_allclose(p[:, :, None] * m, diag @ m, rtol=1e-15)
+    np.testing.assert_allclose(m * p[:, None, :], m @ diag, rtol=1e-15)
 
 
 def test_interface_matrix_elements():
@@ -241,14 +245,60 @@ def test_energy_conservation_and_unimodularity(spec, lam):
 
 
 def test_leads_change_phase_only():
-    from dataclasses import replace
-    w = model.omega_from_wavelength(1546.2e-9)
+    w = model.omega_from_wavelength(np.array([1541.0e-9, 1546.2e-9]))
     bare = transfer.structure_matrix(REF, w)
-    led = transfer.structure_matrix(
-        replace(REF, lead_in_length=7e-6, lead_out_length=3e-6), w)
-    assert transmission(led) == pytest.approx(transmission(bare), rel=1e-12)
-    assert reflection(led) == pytest.approx(reflection(bare), rel=1e-12)
-    assert abs(1.0 / led[0, 0]) == pytest.approx(abs(1.0 / bare[0, 0]), rel=1e-12)
+    for lead_in, lead_out in [(7e-6, 3e-6), (0.0, 20e-6), (50e-6, 30e-6)]:
+        led_spec = replace(REF, lead_in_length=lead_in, lead_out_length=lead_out)
+        led = transfer.structure_matrix(led_spec, w)
+        np.testing.assert_allclose(transmission(led), transmission(bare), rtol=1e-12)
+        np.testing.assert_allclose(reflection(led), reflection(bare), rtol=1e-12)
+        np.testing.assert_allclose(np.abs(led), np.abs(bare), rtol=1e-12)
+        for side in ("left", "right"):
+            for got, want in zip(transfer._facet_states(led_spec, w, side),
+                                 transfer._facet_states(REF, w, side)):
+                np.testing.assert_allclose(np.abs(got), np.abs(want), rtol=1e-12, atol=1e-15)
+
+
+def facet_states_from_the_structure_matrix(spec, omegas, right):
+    """(start, entry, exit_) read off the structure matrix, leads included:
+    start and the state leaving the right facet from t, r and r', entry and
+    exit_ carried across the leads by their propagation matrices
+    (entry = P(-L_in) start)."""
+    m = transfer.structure_matrix(spec, omegas)
+    t, r, r_prime = 1.0 / m[..., 0, 0], m[..., 1, 0] / m[..., 0, 0], -m[..., 0, 1] / m[..., 0, 0]
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    start = np.where(right[:, None], np.stack([zero, t], -1), np.stack([one, r], -1))
+    facet_r = np.where(right[:, None], np.stack([r_prime, one], -1), np.stack([t, zero], -1))
+    k = transfer.wavenumber(spec.n_hi, omegas)
+
+    def propagate(length, v):
+        p = np.diag([1.0, 0.0]) * np.exp(-1j * k * length)[:, None, None] \
+            + np.diag([0.0, 1.0]) * np.exp(1j * k * length)[:, None, None]
+        return (p @ v[..., None])[..., 0]
+
+    return start, propagate(-spec.lead_in_length, start), propagate(spec.lead_out_length, facet_r)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_facet_states_match_the_structure_matrix(seed):
+    # the states come from the bare grating's power and one lead phase per
+    # launched wave; the oracle derives them from the full structure matrix
+    rng = np.random.default_rng(seed)
+    bare = bounded_spec(rng.uniform(250e-9, 400e-9), rng.uniform(0.15, 0.85),
+                        int(rng.integers(1, 400)), rng.uniform(1.5, 3.2), rng.uniform(5.0, 45.0))
+    omegas = model.omega_from_wavelength(rng.uniform(1500e-9, 1600e-9, 24))
+    mixed = rng.integers(0, 2, omegas.size).astype(bool)
+    for lead_in, lead_out in [(0.0, 0.0), (rng.uniform(0.1e-6, 20e-6), 0.0),
+                              (0.0, rng.uniform(0.1e-6, 20e-6)),
+                              tuple(rng.uniform(0.1e-6, 20e-6, 2))]:
+        spec = replace(bare, lead_in_length=lead_in, lead_out_length=lead_out)
+        for side, right in [("left", np.zeros_like(mixed)), ("right", np.ones_like(mixed)),
+                            (mixed, mixed)]:
+            got = transfer._facet_states(spec, omegas, side)
+            want = facet_states_from_the_structure_matrix(spec, omegas, right)
+            for g, w in zip(got, want):
+                scale = np.max(np.abs(w), axis=-1, keepdims=True)
+                assert np.max(np.abs(g - w) / scale) < 1e-12, (lead_in, lead_out, side)
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +353,14 @@ def test_stopband_threshold_widens_band(reference_report):
     assert shallow.band_width > reference_report.band_width
 
 
+@pytest.mark.parametrize("threshold_db", [math.inf, 0.0, -3.0])
+def test_stopband_threshold_must_be_finite_and_positive(threshold_db):
+    # an infinite threshold would report no band and threshold_db=inf
+    sweep = transfer.transmission_spectrum(REF, model.make_wavelength_grid(1546e-9, 8e-9, 41))
+    with pytest.raises(model.InvalidArgument, match="finite and > 0"):
+        transfer.spectrum_stopband(sweep, threshold_db)
+
+
 def test_stopband_without_band_crossing():
     # 100 periods reject far less than 10 dB: no contiguous band exists
     from dataclasses import replace
@@ -320,6 +378,15 @@ def test_rejection_estimate_matches_closed_form():
     expected = 10 * (2 * 2069 * math.log1p(3.4985e-3 / 2.414) - math.log(4)) / math.log(10)
     assert est == pytest.approx(expected, rel=1e-12)
     assert est == pytest.approx(20.00525, abs=1e-4)
+    assert transfer.rejection_estimate_db(2069.0, 2.414, 3.4985e-3) == est
+
+
+@pytest.mark.parametrize("n_periods", [1.5, 0, 2000.5, True, np.True_, math.inf])
+def test_rejection_estimate_refuses_a_non_integer_count(n_periods):
+    # as GratingSpec does: True would count as one period and 1.5 as a
+    # fraction of one
+    with pytest.raises(model.InvalidArgument, match="positive integer"):
+        transfer.rejection_estimate_db(n_periods, 2.414, 3.5e-3)
 
 
 def test_design_periods_reference_targets():
