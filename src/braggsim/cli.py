@@ -24,7 +24,7 @@ import operator
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -223,7 +223,7 @@ def _walk(field: _Field, value, path: str):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully converted scenario: structures, drive, windows, sweep ranges."""
+    """Fully converted scenario, point counts included: a flag sets one field (_FLAGS)."""
 
     grating: GratingSpec
     ring: RingSpec | None
@@ -232,13 +232,19 @@ class ScenarioConfig:
     pulse: PumpPulse
     signal_window: CollectionWindow
     idler_window: CollectionWindow
-    spectrum_grid_args: tuple   # (center_m, span_m, n_points)
-    pump_sweep_args: tuple      # (start_m, stop_m, points, signal_m)
+    spectrum_grid_args: tuple   # (center_m, span_m)
+    spectrum_points: int
+    pump_sweep_range: tuple     # (start_m, stop_m, signal_m): the pump range, the fixed signal
+    sweep_points: int
     contrasts: tuple
     target_rejection_db: float
     compare_rejection_db: float | None
     jsd_points: int
     ring_span_linewidths: float
+
+    @property
+    def pump_sweep_args(self) -> tuple:     # (start_m, stop_m, points, signal_m), for perfbench
+        return (*self.pump_sweep_range[:2], self.sweep_points, self.pump_sweep_range[2])
 
 
 def build_scenario(raw: dict) -> ScenarioConfig:
@@ -288,10 +294,9 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("contrast_sweep.contrasts: must not be empty")
     return ScenarioConfig(
         grating=grating, ring=ring, ring_pulse=ring_pulse, params=params, pulse=pulse,
-        signal_window=signal_window, idler_window=idler_window,
-        spectrum_grid_args=(0.5 * (sp["start"] + sp["stop"]), sp["stop"] - sp["start"],
-                            n_points),
-        pump_sweep_args=(ps["start"], ps["stop"], ps["points"], ps["signal"]),
+        signal_window=signal_window, idler_window=idler_window, spectrum_points=n_points,
+        spectrum_grid_args=(0.5 * (sp["start"] + sp["stop"]), sp["stop"] - sp["start"]),
+        pump_sweep_range=(ps["start"], ps["stop"], ps["signal"]), sweep_points=ps["points"],
         **c["contrast_sweep"], **c["jsd"])
 
 
@@ -373,11 +378,13 @@ def _table(stem: str, fmt: str, sweep, extras: dict) -> tuple:
     return f"{stem}.json", _json_text({"columns": sweep.to_json_obj(), **extras}), ()
 
 
-def _run_spectrum(cfg: ScenarioConfig, fmt: str, points, rejection_db):
-    from .model import make_wavelength_grid
-    from .transfer import spectrum_stopband, transmission_spectrum
-    center, span, n_points = cfg.spectrum_grid_args
-    grid = make_wavelength_grid(center, span, points or n_points)
+def _run_spectrum(cfg: ScenarioConfig, fmt: str):
+    from .model import make_wavelength_grid, omega_from_wavelength
+    from .transfer import _check_domain, spectrum_stopband, transmission_spectrum
+    center, span = cfg.spectrum_grid_args
+    # the grid's two ends first: a range far outside the domain has a huge grid
+    _check_domain([omega_from_wavelength(center + s * span / 2.0) for s in (-1, 1)], "spectrum")
+    grid = make_wavelength_grid(center, span, cfg.spectrum_points)
     sweep = transmission_spectrum(cfg.grating, grid)
     bragg_nm = cfg.grating.bragg_wavelength * 1e9
     lo_nm, hi_nm = sweep.x[0], sweep.x[-1]
@@ -398,12 +405,11 @@ def _run_spectrum(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     return [_table("spectrum", fmt, sweep, {"summary": summary})], [message]
 
 
-def _run_design(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+def _run_design(cfg: ScenarioConfig, fmt: str):
     from .transfer import design_periods, rejection_estimate_db
-    target = cfg.target_rejection_db if rejection_db is None else rejection_db
-    n = design_periods(target, cfg.grating.n_lo, cfg.grating.delta_n)
+    n = design_periods(cfg.target_rejection_db, cfg.grating.n_lo, cfg.grating.delta_n)
     result = {
-        "target_rejection_db": target,
+        "target_rejection_db": cfg.target_rejection_db,
         "n_lo": cfg.grating.n_lo,
         "delta_n": cfg.grating.delta_n,
         "n_periods": n,
@@ -413,12 +419,12 @@ def _run_design(cfg: ScenarioConfig, fmt: str, points, rejection_db):
     return [("design.json", _json_text(result), ())], [f"N={n}"]
 
 
-def _run_stim_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+def _run_stim_sweep(cfg: ScenarioConfig, fmt: str):
     import numpy as np
 
     from .fwm import dip_report, pump_sweep
-    start, stop, n_points, signal = cfg.pump_sweep_args
-    lam = np.linspace(start, stop, points or n_points)
+    start, stop, signal = cfg.pump_sweep_range
+    lam = np.linspace(start, stop, cfg.sweep_points)
     sweep = pump_sweep(cfg.grating, cfg.params, lam, signal)
     dip = dip_report(sweep)
     extras = {}
@@ -429,13 +435,12 @@ def _run_stim_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
         f"suppression {dip.suppression_db:.1f} dB vs off-band median"]
 
 
-def _run_spont_rate(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+def _run_spont_rate(cfg: ScenarioConfig, fmt: str):
     from .fwm import stimulated_idler
-    from .model import _FMT, omega_from_wavelength
+    from .model import _FMT
     from .quantum import spont_from_stim
-    w_p = cfg.pulse.center_omega
-    w_s = omega_from_wavelength(cfg.signal_window.center_wavelength)
-    stim = stimulated_idler(cfg.grating, cfg.params, w_p, w_s)
+    stim = stimulated_idler(cfg.grating, cfg.params, cfg.pulse.center_omega,
+                            cfg.signal_window.center_omega)
     spont = spont_from_stim(stim, cfg.params.coupled_signal_power, cfg.signal_window)
     result = {
         "stimulated": {
@@ -463,7 +468,7 @@ def _run_spont_rate(cfg: ScenarioConfig, fmt: str, points, rejection_db):
         f"spontaneous rate {spont.rate:.3f} pairs/s in the collection window"]
 
 
-def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+def _run_contrast_sweep(cfg: ScenarioConfig, fmt: str):
     from .quantum import contrast_sweep, designed_pair_rate
     report = contrast_sweep(cfg.grating, cfg.target_rejection_db, cfg.contrasts,
                             cfg.params, cfg.pulse, cfg.signal_window)
@@ -514,24 +519,20 @@ def _jsd_header(state, report) -> dict:
         "beta_sq": state.beta_sq,
         "purity": report.purity,
         "schmidt_number": report.schmidt_number,
-        "signal_grid_rad_s": {"start": float(state.signal_grid.points[0]),
-                              "stop": float(state.signal_grid.points[-1]),
-                              "points": state.signal_grid.n_points},
-        "idler_grid_rad_s": {"start": float(state.idler_grid.points[0]),
-                             "stop": float(state.idler_grid.points[-1]),
-                             "points": state.idler_grid.n_points},
+        **{f"{axis}_grid_rad_s": {"start": float(grid.points[0]), "stop": float(grid.points[-1]),
+                                  "points": grid.n_points}
+           for axis, grid in (("signal", state.signal_grid), ("idler", state.idler_grid))},
     }
 
 
-def _run_jsd(cfg: ScenarioConfig, fmt: str, points, rejection_db):
+def _run_jsd(cfg: ScenarioConfig, fmt: str):
     from .quantum import schmidt_analysis, two_photon_state_bw, two_photon_state_ring
-    points = points or cfg.jsd_points
     states = [("bw", "waveguide", two_photon_state_bw(cfg.grating, cfg.params, cfg.pulse,
                                                       cfg.signal_window, cfg.idler_window,
-                                                      n_points=points))]
+                                                      n_points=cfg.jsd_points))]
     if cfg.ring is not None:
         states.append(("ring", "ring", two_photon_state_ring(
-            cfg.ring, cfg.params, cfg.ring_pulse, n_points=points,
+            cfg.ring, cfg.params, cfg.ring_pulse, n_points=cfg.jsd_points,
             span_linewidths=cfg.ring_span_linewidths)))
     files, messages = [], []
     for stem, label, state in states:
@@ -555,12 +556,12 @@ _RUNNERS = {
     "jsd": _run_jsd,
 }
 
-
-def _steps(subcommand: str, points):
-    """The (runner name, --points) pair of each step that `subcommand` runs;
-    under report, --points sets only the spectrum grid."""
-    names = _RUNNERS if subcommand == "report" else (subcommand,)
-    return [(name, points if name in (subcommand, "spectrum") else None) for name in names]
+# each optional flag's kind and the scenario field it sets under each subcommand that reads it
+_FLAGS = {
+    "--points": (_Field("", "integer", bound=(">=", 2)), {"spectrum": "spectrum_points",
+                 "stim-sweep": "sweep_points", "jsd": "jsd_points", "report": "spectrum_points"}),
+    "--rejection-db": (_Field("", "number"), {"design": "target_rejection_db"}),
+}
 
 
 # --------------------------------------------------------------------------
@@ -590,20 +591,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_scenario(args) -> int:
-    # the subcommands that read each optional flag; the others reject it
-    for flag, readers in (("points", ("spectrum", "stim-sweep", "jsd", "report")),
-                          ("rejection_db", ("design",))):
-        if getattr(args, flag) is not None and args.subcommand not in readers:
-            raise ConfigError(f"--{flag.replace('_', '-')}: not read by {args.subcommand}")
+    given = {flag: value for flag in _FLAGS
+             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
+    for flag in given:
+        if args.subcommand not in _FLAGS[flag][1]:
+            raise ConfigError(f"{flag}: not read by {args.subcommand}")
     config_path = Path(args.config) if args.config else bundled_config_path()
-    cfg = build_scenario(load_config_dict(config_path))
-    _walk(_Field("", "integer", nullable=True, bound=(">=", 2)), args.points, "--points")
-    _walk(_Field("", "number", nullable=True), args.rejection_db, "--rejection-db")
+    cfg = replace(build_scenario(load_config_dict(config_path)), **{
+        _FLAGS[flag][1][args.subcommand]: _walk(_FLAGS[flag][0], value, flag)
+        for flag, value in given.items()})
 
     files, messages = [], []
-    for name, points in _steps(args.subcommand, args.points):
-        more_files, more_messages = _RUNNERS[name](cfg, args.format, points,
-                                                   args.rejection_db)
+    for name in _RUNNERS if args.subcommand == "report" else (args.subcommand,):
+        more_files, more_messages = _RUNNERS[name](cfg, args.format)
         files += more_files
         messages += more_messages
     out_dir = Path(args.out) if args.out else Path("out") / args.subcommand
@@ -623,9 +623,9 @@ def main(argv=None) -> int:
     except (IOFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # domain errors from the numeric modules
+    except Exception as exc:  # domain errors from the numeric modules, a grid too large
         from .model import InvalidArgument, OutOfDomain
-        if isinstance(exc, (InvalidArgument, OutOfDomain)):
+        if isinstance(exc, (InvalidArgument, OutOfDomain, MemoryError)):
             print(f"domain error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
         raise

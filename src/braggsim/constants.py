@@ -1,7 +1,8 @@
 """Physical constants (CODATA 2018), documented to 9 significant figures.
 
-SPEED_OF_LIGHT and PLANCK are exact by SI definition; HBAR = PLANCK/(2*pi)
-rounded to 9 significant figures.
+SPEED_OF_LIGHT and PLANCK are exact by SI definition; HBAR is CODATA's
+value of PLANCK/(2*pi) to 10 significant figures, truncated rather than
+rounded (PLANCK/(2*pi) = 1.05457181765e-34).
 """
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s   (exact;    2.99792458e8)

@@ -50,8 +50,10 @@ def _require_finite(obj) -> None:
             raise InvalidArgument(f"{f.name} must be a finite number, got {value}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of `a`, so that neither the caller's array nor
+    its base is frozen, and no later write to them reaches the copy."""
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -230,6 +232,9 @@ class RingSpec:
         for lam in (self.lambda_p, self.lambda_s, self.lambda_i):
             if lam <= 0:
                 raise InvalidArgument("resonance wavelengths must be > 0")
+        if not self.fsr_omega > 0:
+            raise InvalidArgument("signal and idler resonances coincide with the pump's: "
+                                  "the free spectral range must be > 0")
         q = self.quality_factor
         qs = tuple(float(x) for x in q) if np.iterable(q) else (float(q),) * 3
         if len(qs) != 3 or not all(0 < x < math.inf for x in qs):
@@ -346,7 +351,9 @@ def pump_spectral_amplitude(pulse: PumpPulse, grid: FrequencyGrid) -> np.ndarray
     (1/2pi) * integral |alpha|^2 d omega = pulse energy / (hbar omega_c).
 
     Raises if the grid is narrower than 20 spectral widths or if the grid
-    quadrature misses more than 1% of the analytic norm (coverage error).
+    quadrature is more than 1% off the analytic norm either way (coverage
+    error): a truncated spectrum gives too little, a coarse grid may give
+    too much.
     """
     w0 = pulse.center_omega
     span = grid.points[-1] - grid.points[0]
@@ -363,8 +370,8 @@ def pump_spectral_amplitude(pulse: PumpPulse, grid: FrequencyGrid) -> np.ndarray
     norm = np.trapezoid(np.abs(alpha) ** 2, grid.points) / (2.0 * math.pi)
     target = pulse.energy / (HBAR * w0)
     if abs(norm - target) > 0.01 * target:
-        raise InvalidArgument(
-            f"grid truncates the pulse spectrum ({abs(norm - target) / target:.2%} of norm)")
+        raise InvalidArgument(f"grid quadrature of the pulse spectrum gives {norm / target:.2%} "
+                              "of its norm, more than 1% off")
     return alpha
 
 

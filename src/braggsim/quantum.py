@@ -123,6 +123,12 @@ class TwoPhotonState:
     it. An all-zero amplitude (no nonlinearity) gives is_zero, beta_sq = 0
     and an all-zero jsd. `source` names the state in the error raised past
     the first-order limit.
+
+    Unlike the types of model, the state takes over a complex amplitude
+    array that it is handed: it makes that array read-only in place rather
+    than copy it, since a copy of the n^2 samples would add to the peak
+    memory of a run. A write through that array's base still reaches the
+    state, so a caller hands over an array it no longer writes to.
     """
 
     amplitude: np.ndarray

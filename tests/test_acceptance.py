@@ -28,16 +28,16 @@ def say(capsys):
 
 @pytest.fixture(scope="module")
 def stopband(scenario):
-    center, span, points = scenario.spectrum_grid_args
-    grid = model.make_wavelength_grid(center, span, points)
+    center, span = scenario.spectrum_grid_args
+    grid = model.make_wavelength_grid(center, span, scenario.spectrum_points)
     return transfer.stopband_report(scenario.grating, grid)
 
 
 @pytest.fixture(scope="module")
 def pump_dip(scenario):
-    start, stop, points, signal = scenario.pump_sweep_args
+    start, stop, signal = scenario.pump_sweep_range
     sweep = fwm.pump_sweep(scenario.grating, scenario.params,
-                           np.linspace(start, stop, points), signal)
+                           np.linspace(start, stop, scenario.sweep_points), signal)
     return fwm.dip_report(sweep)
 
 

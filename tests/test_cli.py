@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -224,7 +225,18 @@ def _drop_duration_ns(raw):
     del raw["pulse"]["duration_ns"]
 
 
+def _coincident_ring(group_index):
+    """An edit that puts the ring's signal and idler resonances on its pump's."""
+    def edit(raw):
+        ring = raw["ring_comparator"]
+        ring.update(signal_resonance_nm=ring["pump_resonance_nm"],
+                    idler_resonance_nm=ring["pump_resonance_nm"], group_index=group_index)
+    return edit
+
+
 _ONE_DURATION = "pulse: exactly one of duration_ns/duration_ps is required"
+_NO_FSR = ("ring_comparator: signal and idler resonances coincide with the pump's: "
+           "the free spectral range must be > 0")
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -245,9 +257,11 @@ _ONE_DURATION = "pulse: exactly one of duration_ns/duration_ps is required"
      "ring_comparator.quality_factor: expected a number or 3 numbers"),
     (lambda raw: raw["contrast_sweep"].update(contrasts=[]),
      "contrast_sweep.contrasts: must not be empty"),
+    (_coincident_ring(None), _NO_FSR),
+    (_coincident_ring(2.6), _NO_FSR),
 ], ids=["string-number", "bool-number", "bool-integer", "float-integer", "null-required",
         "list-section", "both-durations", "no-duration", "two-quality-factors",
-        "empty-contrasts"])
+        "empty-contrasts", "coincident-ring", "coincident-ring-group-index"])
 def test_config_contract_is_config_error(tmp_path, capsys, edit, message):
     out = tmp_path / "o"
     assert run("spont-rate", "--config", str(reference_variant(tmp_path, edit)),
@@ -297,6 +311,74 @@ def test_spectrum_outside_model_domain(tmp_path, capsys, subcommand):
     assert capsys.readouterr().err == (
         "domain error: spectrum wavelength outside the 1500-1600 nm model domain\n")
     assert not out.exists()
+
+
+def test_spectrum_far_outside_the_domain_is_refused_before_its_grid(tmp_path, capsys):
+    # a range up to 1e12 nm at the configured 2 pm step would have 5e14
+    # points (3.55 PiB); its two ends are checked before the grid is built
+    out = tmp_path / "o"
+    variant = reference_variant(tmp_path, lambda raw: raw["spectrum"].update(stop_nm=1e12))
+    assert run("spectrum", "--config", str(variant), "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "domain error: spectrum wavelength outside the 1500-1600 nm model domain\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,section,edit", [
+    ("spectrum", "spectrum", {"step_pm": 1e-14}),
+    ("stim-sweep", "pump_sweep", {"points": 10**17}),
+], ids=["spectrum-step", "sweep-points"])
+def test_grid_too_large_to_allocate_is_domain_error(tmp_path, capsys, subcommand, section,
+                                                    edit):
+    # 8e17 and 1e17 points: more bytes than any process's address space
+    # holds, so numpy's allocation fails at once and nothing is touched
+    out = tmp_path / "o"
+    variant = reference_variant(tmp_path, lambda raw: raw[section].update(edit))
+    assert run(subcommand, "--config", str(variant), "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("domain error: Unable to allocate")
+    assert not out.exists()
+
+
+def _numeric_paths(raw, path=()):
+    """The key path of each number or null in `raw`; a list counts as its first element."""
+    items = raw.items() if isinstance(raw, dict) else [(0, raw[0])]
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_paths(value, path + (key,))
+        elif value is None or type(value) in (int, float):
+            yield path + (key,)
+
+
+def test_bad_numbers_end_in_a_config_or_domain_error(tmp_path):
+    # each numeric field in turn at 0, -1, 1e-12 and 1e12, and a ring whose
+    # resonances coincide: design and spectrum succeed or exit 2 or 3, never
+    # with a traceback; spectrum takes 21 points unless its own section is edited
+    reference = cli.load_config_dict(cli.bundled_config_path())
+    variants = [(f"ring-coincident-{g}", _coincident_ring(g)) for g in (None, 2.6)]
+    for path in _numeric_paths(reference):
+        for value in (0, -1, 1e-12, 1e12):
+            def edit(raw, path=path, value=value):
+                for key in path[:-1]:
+                    raw = raw[key]
+                raw[path[-1]] = value
+            variants.append((f"{'.'.join(map(str, path))}={value}", edit))
+    config, out = tmp_path / "variant.json", tmp_path / "o"
+    failed = []
+    for label, edit in variants:
+        raw = cli.load_config_dict(cli.bundled_config_path())
+        edit(raw)
+        config.write_text(json.dumps(raw))
+        for subcommand in ("design", "spectrum"):
+            points = () if subcommand == "design" or label.startswith("spectrum.") \
+                else ("--points", "21")
+            try:
+                code = run(subcommand, "--config", str(config), "--out", str(out), "--force",
+                           "--quiet", *points)
+            except Exception as exc:
+                code = repr(exc)
+            if code not in (0, 2, 3):
+                failed.append((subcommand, label, code))
+    assert len(variants) > 100 and not failed
 
 
 def test_jsd_unequal_window_widths(tmp_path, capsys):
@@ -797,9 +879,11 @@ def test_report_is_its_steps(tiny_config, tmp_path, points):
 def _returned(subcommand, raw, fmt, points=None):
     """Each file that the steps of `subcommand` return for `raw`, by name, as text."""
     cfg = cli.build_scenario(raw)
+    if points is not None:
+        cfg = replace(cfg, **{cli._FLAGS["--points"][1][subcommand]: points})
     files = []
-    for name, step_points in cli._steps(subcommand, points):
-        files += cli._RUNNERS[name](cfg, fmt, step_points, None)[0]
+    for name in cli._RUNNERS if subcommand == "report" else (subcommand,):
+        files += cli._RUNNERS[name](cfg, fmt)[0]
     return {name: text + "".join(blocks) for name, text, blocks in files}
 
 

@@ -61,6 +61,12 @@ def test_pump_sweep_refuses_a_nan_wavelength():
         fwm.pump_sweep(REF, PARAMS, [1545e-9, math.nan, 1546e-9], 1560e-9)
 
 
+@pytest.mark.parametrize("wavelengths", [[], [[1545e-9, 1546e-9]]], ids=["empty", "2-d"])
+def test_pump_sweep_refuses_wavelengths_that_are_no_1d_array(wavelengths):
+    with pytest.raises(model.InvalidArgument, match="must be a 1-D array"):
+        fwm.pump_sweep(REF, PARAMS, wavelengths, 1560e-9)
+
+
 class TestSegmentExpIntegral:
     def test_zero_kappa(self):
         assert segment_exp_integral(0.0, 3.2e-6) == pytest.approx(3.2e-6)

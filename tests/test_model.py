@@ -81,6 +81,22 @@ def test_uniform_grid_check_refuses_a_nan_point(where):
         model._require_uniform(points)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize("held", [
+    lambda a: model.FrequencyGrid(points=a, spacing=1.0).points,
+    lambda a: model.SweepResult("x", a).x,
+    lambda a: model.SweepResult("x", np.arange(3.0), {"y": a}).column("y"),
+], ids=["grid-points", "sweep-x", "sweep-column"])
+def test_constructors_keep_a_copy_of_the_callers_array(held, view):
+    # the object keeps a read-only copy: the caller's array stays writeable,
+    # and a write to it or to the base of the view handed over does not
+    # reach the object
+    a = np.arange(3.0)
+    kept = held(a[:] if view else a)
+    a[0] = -5.0
+    assert kept[0] == 0.0 and not kept.flags.writeable
+
+
 def test_frequency_grid_accepts_linspace_at_optical_scale():
     # ulp-level jitter of linspace must stay under the uniformity tolerance
     pts = np.linspace(1.205e15, 1.225e15, 4001)
@@ -163,6 +179,13 @@ class TestRingSpec:
         with pytest.raises(model.InvalidArgument):
             self.ring(group_index=4.0)
 
+    @pytest.mark.parametrize("group_index", [None, 2.6])
+    def test_coincident_resonances_rejected(self, group_index):
+        # a triplet without spacing has no free spectral range, and the
+        # round-trip time would divide by it
+        with pytest.raises(model.InvalidArgument, match="free spectral range must be > 0"):
+            self.ring(lambda_s=1534.55e-9, lambda_i=1534.55e-9, group_index=group_index)
+
     def test_fsr_is_mean_spacing_of_the_triplet(self):
         r = self.ring()
         w_p = model.omega_from_wavelength(r.lambda_p)
@@ -226,6 +249,14 @@ class TestPumpSpectralAmplitude:
         p = model.PumpPulse(model.PulseShape.GAUSSIAN, 23.334e-12, 1e-3, 1534.55e-9)
         grid = model.grid_around_omega(p.center_omega, 5 * p.spectral_width, 101)
         with pytest.raises(model.InvalidArgument):
+            model.pump_spectral_amplitude(p, grid)
+
+    def test_coarse_grid_over_counting_the_norm_rejected(self):
+        # 7 points over 60 widths sample the top-hat's sinc at its centre and
+        # its nulls alone, so the quadrature gives ten times the norm
+        p = model.PumpPulse(model.PulseShape.TOPHAT, 1e-9, 1e-3, 1546.08e-9)
+        grid = model.grid_around_omega(p.center_omega, 60 * p.spectral_width, 7)
+        with pytest.raises(model.InvalidArgument, match=r"gives 1000\.00% of its norm"):
             model.pump_spectral_amplitude(p, grid)
 
     def test_tophat_coverage_within_tolerance(self):

@@ -297,14 +297,16 @@ class TestChunkedTable:
         np.testing.assert_array_equal(table, pieces_of_elements(spec, w1, w2, 1000))
 
     @pytest.mark.parametrize("bad", [np.array([0.0, 1.0, 3.0, 4.0]), np.array([0.0]),
-                                     np.array([0.0, 1.0, math.nan, 3.0])],
-                             ids=["non-uniform", "one-point", "nan-point"])
+                                     np.array([0.0, 1.0, math.nan, 3.0]),
+                                     np.array([0.0, 1.5, 3.0, 4.5])],
+                             ids=["non-uniform", "one-point", "nan-point", "other-spacing"])
     @pytest.mark.filterwarnings("error")
     def test_table_refuses_a_grid_that_is_not_uniform(self, bad):
         # the pump midpoints are read off the first points and the spacing,
-        # so a non-uniform grid would put its pump at the wrong frequencies;
-        # a NaN past the first step once passed the check, as every
-        # comparison with NaN is False
+        # so a non-uniform grid would put its pump at the wrong frequencies,
+        # and so would two grids of unequal spacing, whose midpoints form no
+        # one uniform grid; a NaN past the first step once passed the check,
+        # as every comparison with NaN is False
         w1, w2 = SIGNAL_WIN.center_omega, IDLER_WIN.center_omega
         step = 2.0 * math.pi * 1e9
         for grids in ((w1 + step * bad, w2 + step * np.arange(4)),
@@ -776,6 +778,15 @@ def test_ridge_width_ratio_needs_one_spacing():
         quantum.ridge_width_ratio(_state_from_amplitude(np.ones((24, 24)), g1, g2))
 
 
+def test_principal_axis_ratio_refuses_a_density_on_one_point():
+    # a JSD held by one grid point has no spread along either axis
+    g1, g2 = _grids(12, 12)
+    amp = np.zeros((12, 12), dtype=complex)
+    amp[3, 5] = 1.0
+    with pytest.raises(model.InvalidArgument, match="degenerate joint spectral density"):
+        quantum.principal_axis_ratio(_state_from_amplitude(amp, g1, g2))
+
+
 def test_principal_axis_ratio_recovers_aspect():
     w = 8e10
     st = _gaussian_ridge_state(w / 50, w / 10)
@@ -847,6 +858,11 @@ class TestContrastSweep:
         rep = quantum.contrast_sweep(REF, 12.0, [2e-3, 4e-3, 8e-3], PARAMS,
                                      PULSE, SIGNAL_WIN)
         assert rep.slope == pytest.approx(-2.0, abs=0.05)
+
+    @pytest.mark.parametrize("contrasts", [[], [[2e-3, 4e-3]]], ids=["empty", "2-d"])
+    def test_contrasts_must_be_a_nonempty_1d_array(self, contrasts):
+        with pytest.raises(model.InvalidArgument, match="nonempty 1-D array"):
+            quantum.contrast_sweep(REF, 12.0, contrasts, PARAMS, PULSE, SIGNAL_WIN)
 
     def test_contrast_domain(self):
         with pytest.raises(model.InvalidArgument):
